@@ -57,8 +57,8 @@ Measurement measure(const Config& config, int reps, bool& ok) {
   naive.dedup = false;
   naive.collect_branches = true;
   naive.threads = 1;
-  campaign::CertifySpec pruned;
-  pruned.threads = 1;
+  campaign::CertifySpec forked;
+  forked.threads = 1;
 
   const Simulator simulator(config.schedule);
   Measurement best;
@@ -66,7 +66,7 @@ Measurement measure(const Config& config, int reps, bool& ok) {
     const campaign::CertifyReport full =
         campaign::certify(config.schedule, naive);
     const campaign::CertifyReport fast =
-        campaign::certify(config.schedule, pruned);
+        campaign::certify(config.schedule, forked);
     ok = ok && full.certified == config.expect_certified &&
          fast.certified == config.expect_certified;
 

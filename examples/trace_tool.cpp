@@ -20,15 +20,16 @@
 //            not JSON): every (operation, processor) pressure evaluation
 //            with its sigma components and the decision taken.
 //
-// Exit status: 0 = ok, 2 = usage or I/O error.
+// Exit status: 0 = ok, 2 = usage or I/O error (an out-of-range numeric
+// operand or an unwritable output file included, each with a diagnostic).
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "campaign/runner.hpp"
+#include "io/cli_util.hpp"
 #include "io/problem_format.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/span.hpp"
@@ -51,10 +52,21 @@ int usage() {
   return 2;
 }
 
-bool parse_number(const std::string& text, long& out) {
-  char* end = nullptr;
-  out = std::strtol(text.c_str(), &end, 10);
-  return end != text.c_str() && *end == '\0' && out >= 0;
+/// Reports an operand that looks numeric but overflows: saturating it
+/// would silently run a different command than the one typed.
+bool out_of_range(const char* flag, const char* text) {
+  std::fprintf(stderr, "trace_tool: %s operand \"%s\" is out of range\n",
+               flag, text);
+  return false;
+}
+
+bool parse_number(const char* flag, const char* text, long& out) {
+  switch (io::parse_number(text, out)) {
+    case io::ParseStatus::kOk: return true;
+    case io::ParseStatus::kOutOfRange: return out_of_range(flag, text);
+    case io::ParseStatus::kMalformed: break;
+  }
+  return false;
 }
 
 bool emit(const std::string& path, const std::string& content) {
@@ -62,12 +74,7 @@ bool emit(const std::string& path, const std::string& content) {
     std::fputs(content.c_str(), stdout);
     return true;
   }
-  std::ofstream file(path);
-  if (!file) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  file << content;
+  if (!io::write_file(path, content)) return false;
   std::fprintf(stderr, "wrote %s\n", path.c_str());
   return true;
 }
@@ -111,13 +118,16 @@ int main(int argc, char** argv) {
     } else if (arg == "--fail" && i + 1 < argc) {
       const std::string spec = argv[++i];
       const std::size_t at = spec.find('@');
-      char* end = nullptr;
-      const double time =
+      double time = 0;
+      const io::ParseStatus status =
           at == std::string::npos
-              ? 0.0
-              : std::strtod(spec.c_str() + at + 1, &end);
-      if (at == std::string::npos || end == spec.c_str() + at + 1 ||
-          *end != '\0') {
+              ? io::ParseStatus::kMalformed
+              : io::parse_nonnegative(spec.c_str() + at + 1, time);
+      if (status == io::ParseStatus::kOutOfRange) {
+        out_of_range("--fail", spec.c_str());
+        return 2;
+      }
+      if (status != io::ParseStatus::kOk) {
         std::fprintf(stderr, "--fail wants PROC@TIME, got %s\n",
                      spec.c_str());
         return 2;
@@ -126,13 +136,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--dead" && i + 1 < argc) {
       dead.emplace_back(argv[++i]);
     } else if (arg == "--scenarios" && i + 1 < argc &&
-               parse_number(argv[++i], number)) {
+               parse_number("--scenarios", argv[++i], number)) {
       scenarios = number;
     } else if (arg == "--threads" && i + 1 < argc &&
-               parse_number(argv[++i], number)) {
+               parse_number("--threads", argv[++i], number)) {
       threads = number;
     } else if (arg == "--seed" && i + 1 < argc &&
-               parse_number(argv[++i], number)) {
+               parse_number("--seed", argv[++i], number)) {
       seed = number;
     } else if (!arg.empty() && arg[0] != '-') {
       input = arg;

@@ -7,13 +7,15 @@
 //                     [seed]
 //
 // Every argument is optional; defaults are 20 ops, 4 procs, K=1, ccr=0.5,
-// bus, seed 1.
+// bus, seed 1. A malformed or out-of-range operand exits 2 with a
+// diagnostic.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "core/text.hpp"
+#include "io/cli_util.hpp"
 #include "sched/heuristics.hpp"
 #include "sched/metrics.hpp"
 #include "sched/validate.hpp"
@@ -32,6 +34,26 @@ workload::ArchKind parse_arch(const std::string& name) {
   if (name == "star") return workload::ArchKind::kStar;
   std::fprintf(stderr, "unknown architecture '%s'\n", name.c_str());
   std::exit(2);
+}
+
+/// Exits 2 with a diagnostic unless `status` is kOk.
+void require_operand(io::ParseStatus status, const char* what,
+                     const char* text) {
+  if (status == io::ParseStatus::kOk) return;
+  std::fprintf(stderr, "tradeoff_explorer: %s operand \"%s\" is %s\n", what,
+               text,
+               status == io::ParseStatus::kOutOfRange ? "out of range"
+                                                      : "malformed");
+  std::exit(2);
+}
+
+/// Positional integer operand `index`, or `fallback` when absent.
+long integer_operand(int argc, char** argv, int index, const char* what,
+                     long fallback) {
+  if (argc <= index) return fallback;
+  long value = 0;
+  require_operand(io::parse_number(argv[index], value), what, argv[index]);
+  return value;
 }
 
 /// Masked fraction over all failure subsets of size <= K at mid-iteration.
@@ -58,13 +80,20 @@ std::string masking(const Schedule& schedule, int k) {
 
 int main(int argc, char** argv) {
   workload::RandomProblemParams params;
-  params.dag.operations = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 20;
-  params.processors = argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 4;
+  params.dag.operations =
+      static_cast<std::size_t>(integer_operand(argc, argv, 1, "ops", 20));
+  params.processors =
+      static_cast<std::size_t>(integer_operand(argc, argv, 2, "procs", 4));
   params.failures_to_tolerate =
-      argc > 3 ? static_cast<int>(std::strtol(argv[3], nullptr, 10)) : 1;
-  params.ccr = argc > 4 ? std::strtod(argv[4], nullptr) : 0.5;
+      static_cast<int>(integer_operand(argc, argv, 3, "K", 1));
+  params.ccr = 0.5;
+  if (argc > 4) {
+    require_operand(io::parse_nonnegative(argv[4], params.ccr), "ccr",
+                    argv[4]);
+  }
   params.arch_kind = argc > 5 ? parse_arch(argv[5]) : workload::ArchKind::kBus;
-  params.seed = argc > 6 ? std::strtoull(argv[6], nullptr, 10) : 1;
+  params.seed =
+      static_cast<std::uint64_t>(integer_operand(argc, argv, 6, "seed", 1));
   params.dag.width = 4;
   params.restrict_probability = 0.1;
 

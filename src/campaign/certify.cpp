@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 
 #include "arch/architecture_graph.hpp"
 #include "campaign/canonical.hpp"
-#include "campaign/slack.hpp"
 #include "campaign/work_pool.hpp"
 #include "core/error.hpp"
 #include "core/time.hpp"
@@ -71,14 +69,11 @@ struct Budgets {
   }
 };
 
-/// Shared pruning context of one sweep: the subtree memo table, the static
-/// slack table, and the digest options every task's Explorer uses. Null
-/// memo = pruning disabled (spec.prune off, or gated off by
-/// collect_branches / a replay cache).
-struct PruneContext {
-  CertifyMemo* memo = nullptr;
-  const SlackTable* slack = nullptr;
-  DigestOptions digest_options;
+/// One contiguous share of a task's first-fault instants (see
+/// certify_shard): slice `index` of `count`. {0, 1} is the whole task.
+struct Slice {
+  std::size_t index = 0;
+  std::size_t count = 1;
 };
 
 /// Depth-first exploration of one task's subtree; every instant the parent
@@ -88,7 +83,6 @@ class Explorer {
   Explorer(const Simulator& simulator, const CertifySpec& spec,
            const std::vector<Time>& deadlines, std::size_t procs,
            std::size_t links, std::uint64_t schedule_key,
-           const PruneContext& prune,
            const std::vector<LatencyProbe>& probes, CertifyTaskPartial& out)
       : sim_(simulator),
         spec_(spec),
@@ -97,27 +91,21 @@ class Explorer {
         links_(links),
         beyond_tail_(simulator.schedule().makespan() + 1),
         // The replay cache stores the scalar leaf verdict only, so it is
-        // gated off under chain constraints (like the memo; see
+        // gated off under chain constraints (see
         // CertifySpec::latency_constraints).
         cache_(probes.empty() ? spec.cache : nullptr),
         schedule_key_(schedule_key),
-        memo_(prune.memo),
-        slack_(prune.slack),
-        digest_options_(prune.digest_options),
-        slack_active_(prune.memo != nullptr && prune.slack != nullptr &&
-                      !prune.slack->empty() &&
-                      !is_infinite(spec.response_bound) && spec.dedup),
         probes_(probes),
         out_(out) {
     out_.worst_chain_latency.assign(probes_.size(), 0);
   }
 
   /// Runs one task: the dead-at-start subsets' own leaf when `first` is
-  /// invalid, otherwise the subtree of fault sequences starting with a
-  /// fault of `first`'s class on `first`'s victim.
+  /// invalid, otherwise `slice`'s share of the subtree of fault sequences
+  /// starting with a fault of `first`'s class on `first`'s victim.
   void run(const std::vector<ProcessorId>& dead,
            const std::vector<LinkId>& dead_links, FaultKey first,
-           Budgets budgets) {
+           Budgets budgets, Slice slice) {
     FTSCHED_SPAN("certify.task");
     dead_ = dead;
     dead_links_ = dead_links;
@@ -153,11 +141,11 @@ class Explorer {
       certify_leaf(root_leaf);
       return;
     }
+    // Every slice re-simulates the root leaf; slice 0 alone counts it.
     Simulator::Branch root = sim_.begin(scenario);
-    ++out_.forks;
+    if (slice.index == 0) ++out_.forks;
     const IterationResult root_leaf = sim_.finish(root.fork());
-    explore_children(root, root_leaf, budgets, 0, FaultKey{}, first,
-                     kNoFrame);
+    explore_children(root, root_leaf, budgets, 0, FaultKey{}, first, slice);
   }
 
  private:
@@ -216,16 +204,16 @@ class Explorer {
         }
       }
     }
-    const bool chain_late = !chain_violated_.empty();
+    const bool counterexample = lost || late || !chain_violated_.empty();
     if (!lost && !late) {
-      // Late branches are counterexamples, not the certified envelope;
-      // keeping them out of worst_response lets the slack cut skip
-      // provably-late leaves without perturbing the reported worst.
+      // Late branches are counterexamples, not the certified envelope.
       out_.worst_response = std::max(out_.worst_response, response);
-      for (MemoFrame& frame : frames_) {
-        frame.worst = std::max(frame.worst, response);
-      }
     }
+    if (counterexample) ++out_.total_counterexamples;
+    const bool detailed =
+        counterexample &&
+        out_.counterexamples.size() < spec_.max_counterexamples;
+    if (!detailed && !spec_.collect_branches) return;
     CertifyBranch branch;
     branch.dead_at_start = dead_;
     branch.dead_links_at_start = dead_links_;
@@ -235,12 +223,7 @@ class Explorer {
     branch.outputs_lost = lost;
     branch.response_time = response;
     branch.violated_constraints = chain_violated_;
-    if (lost || late || chain_late) {
-      ++out_.total_counterexamples;
-      if (out_.counterexamples.size() < spec_.max_counterexamples) {
-        out_.counterexamples.push_back(branch);
-      }
-    }
+    if (detailed) out_.counterexamples.push_back(branch);
     if (spec_.collect_branches) out_.collected.push_back(std::move(branch));
   }
 
@@ -323,8 +306,7 @@ class Explorer {
         // A drop ends the hop as surely as a completion: the frame is gone
         // and the link idle. Leaving the window open would let stale
         // history (a send killed by an earlier fault) keep candidate
-        // instants forever — and make the merge decision depend on trace
-        // prefix the state digest soundly abstracts.
+        // instants forever.
         case TraceEvent::Kind::kTransferEnd:
         case TraceEvent::Kind::kDrop: {
           out.acts.push_back(event.time);
@@ -376,34 +358,20 @@ class Explorer {
     return out;
   }
 
-  /// One hop start the victim feeds: the date a silent window's edges can
-  /// distinguish, plus the payload (dependency, link) the slack cut needs
-  /// to look up the hop's static critical tail.
-  struct SendStart {
-    Time time;
-    DependencyId dep;
-    LinkId link;
-  };
-
   /// Sorted dates the victim starts feeding a hop — the only instants a
   /// silent window's edges can distinguish (is_silent is consulted at
   /// send start; a window opening inside an in-flight hop blocks nothing
   /// of it).
-  [[nodiscard]] std::vector<SendStart> send_starts(const Trace& leaf,
-                                                   ProcessorId victim) const {
-    std::vector<SendStart> sends;
+  [[nodiscard]] std::vector<Time> send_starts(const Trace& leaf,
+                                              ProcessorId victim) const {
+    std::vector<Time> sends;
     for (const TraceEvent& event : leaf.events()) {
       if (event.proc == victim &&
           event.kind == TraceEvent::Kind::kTransferStart) {
-        sends.push_back(SendStart{event.time, event.dep, event.link});
+        sends.push_back(event.time);
       }
     }
-    std::sort(sends.begin(), sends.end(),
-              [](const SendStart& a, const SendStart& b) {
-                if (a.time != b.time) return a.time < b.time;
-                if (a.dep != b.dep) return a.dep < b.dep;
-                return a.link < b.link;
-              });
+    std::sort(sends.begin(), sends.end());
     return sends;
   }
 
@@ -448,7 +416,7 @@ class Explorer {
   /// check differs from the crash merge's (k0, c]. Kept/merged pairs are
   /// accounted per (from, to) combination in silence_tos().
   [[nodiscard]] std::vector<Time> kept_silence_froms(
-      const std::vector<SendStart>& sends, const std::vector<Time>& candidates,
+      const std::vector<Time>& sends, const std::vector<Time>& candidates,
       Time t0, FaultKey last, FaultKey self) {
     std::vector<Time> kept;
     for (const Time c : candidates) {
@@ -458,10 +426,9 @@ class Explorer {
         continue;
       }
       const Time k0 = kept.back();
-      const auto lo = std::lower_bound(
-          sends.begin(), sends.end(), k0 - kTimeEpsilon,
-          [](const SendStart& s, Time t) { return s.time < t; });
-      if (lo != sends.end() && time_lt(lo->time, c)) {
+      const auto lo =
+          std::lower_bound(sends.begin(), sends.end(), k0 - kTimeEpsilon);
+      if (lo != sends.end() && time_lt(*lo, c)) {
         kept.push_back(c);
       } else {
         ++out_.instants_merged;
@@ -478,15 +445,14 @@ class Explorer {
   /// blocked sends resume, so it shifts downstream behaviour continuously
   /// (the continuum caveat in the header).
   [[nodiscard]] std::vector<Time> silence_tos(
-      const std::vector<SendStart>& sends, const std::vector<Time>& candidates,
+      const std::vector<Time>& sends, const std::vector<Time>& candidates,
       Time from, Time beyond) {
-    const auto first_blocked = std::lower_bound(
-        sends.begin(), sends.end(), from - kTimeEpsilon,
-        [](const SendStart& s, Time t) { return s.time < t; });
+    const auto first_blocked =
+        std::lower_bound(sends.begin(), sends.end(), from - kTimeEpsilon);
     std::vector<Time> kept;
     auto consider = [&](Time to) {
       const bool blocks =
-          first_blocked != sends.end() && time_lt(first_blocked->time, to);
+          first_blocked != sends.end() && time_lt(*first_blocked, to);
       if (spec_.dedup && !blocks) {
         ++out_.instants_merged;
         return;
@@ -501,394 +467,46 @@ class Explorer {
     return kept;
   }
 
-  // ---------------------------------------------------------------------
-  // Subtree memoization. A frame is opened per fresh child subtree; while
-  // it is on the stack every counter the subtree accumulates lands between
-  // its open-snapshots and the close, so the entry's deltas fall out of
-  // plain subtraction. Counterexample suffixes are recovered the same way:
-  // the branches recorded past the frame's detail snapshot, stripped of
-  // the stack prefix at the frame's depths. A frame is poisoned (never
-  // stored) when a slack cut fires anywhere inside — the cut's skipped
-  // leaf detail would make the entry depend on the recorder's cap state
-  // instead of being a pure function of (digest, budgets).
-
-  static constexpr std::size_t kNoFrame = static_cast<std::size_t>(-1);
-
-  struct MemoFrame {
-    std::uint64_t key1 = 0;
-    std::uint64_t key2 = 0;
-    bool relabeled = false;
-    bool same_instant = false;
-    bool poisoned = false;
-    int last_cls = 0;
-    int last_id = -1;
-    // Fault-stack depths INCLUDING the child's own fault (suffix base).
-    std::size_t crashes_depth = 0;
-    std::size_t links_depth = 0;
-    std::size_t silences_depth = 0;
-    // out_ snapshots at open.
-    std::size_t branches0 = 0;
-    std::size_t forks0 = 0;
-    std::size_t events0 = 0;
-    std::size_t kept0 = 0;
-    std::size_t merged0 = 0;
-    std::size_t total0 = 0;
-    std::size_t detail0 = 0;
-    // Max response over the subtree's on-time, output-complete leaves.
-    Time worst = 0;
-  };
-
-  /// Memo key half mixing the subtree's remaining budgets and root instant
-  /// into the digest's low word. Budgets are non-negative and small; t0 by
-  /// IEEE-754 bit pattern (digest-equal states share their clock, but the
-  /// salt costs nothing and guards the key against digest-collision luck
-  /// pairing different enumeration anchors).
-  [[nodiscard]] static std::uint64_t budget_salt(const Budgets& budgets,
-                                                 Time t0) {
-    std::uint64_t x =
-        static_cast<std::uint64_t>(static_cast<std::uint32_t>(
-            budgets.crashes)) |
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(
-             budgets.links))
-         << 21) |
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(
-             budgets.silences))
-         << 42);
-    std::uint64_t bits = 0;
-    static_assert(sizeof bits == sizeof t0);
-    std::memcpy(&bits, &t0, sizeof bits);
-    x ^= bits * 0x9E3779B97F4A7C15ULL;
-    x *= 0xC2B2AE3D27D4EB4FULL;
-    x ^= x >> 29;
-    return x;
-  }
-
-  /// Whether a published memo entry may be replayed here. Three guards on
-  /// top of the key match (see DESIGN.md for the full argument):
-  ///  * same-instant subtrees filter siblings through `last` and RAW victim
-  ///    ids, so they are only portable to an identical (unrelabeled) state
-  ///    under the identical last key;
-  ///  * a relabeled match proves isomorphism, not identity — counts and
-  ///    worst are transferable, counterexample suffixes (which name
-  ///    victims) are not;
-  ///  * when slack cuts are live, a fresh exploration at a full
-  ///    counterexample cap diverges from the recorded cut-free subtree, so
-  ///    only hits that provably keep the cap un-full may replay.
-  [[nodiscard]] bool accept_hit(const CertifyMemoEntry& entry,
-                                const StateDigest& digest,
-                                FaultKey self) const {
-    const bool relabel = entry.relabeled || digest.relabeled;
-    if (entry.same_instant) {
-      if (relabel) return false;
-      if (entry.last_cls != self.cls || entry.last_id != self.id) {
-        return false;
-      }
-    } else if (relabel && entry.total_counterexamples != 0) {
-      return false;
-    }
-    if (slack_active_ && entry.total_counterexamples != 0 &&
-        out_.counterexamples.size() + entry.total_counterexamples >=
-            spec_.max_counterexamples) {
-      return false;
-    }
-    return true;
-  }
-
-  /// Adds a memo entry's recorded contribution to this task exactly as the
-  /// fresh subtree would have: counts summed, worst maxed (here and into
-  /// every open frame), counterexample suffixes grafted onto the current
-  /// fault stacks up to the detail cap.
-  void replay_hit(const CertifyMemoEntry& entry) {
-    out_.branches += entry.branches;
-    out_.forks += entry.forks;
-    out_.events_simulated += entry.events_simulated;
-    out_.instants_kept += entry.instants_kept;
-    out_.instants_merged += entry.instants_merged;
-    out_.total_counterexamples += entry.total_counterexamples;
-    out_.memo_branches_replayed += entry.branches;
-    out_.worst_response =
-        std::max(out_.worst_response, entry.worst_response);
-    for (MemoFrame& frame : frames_) {
-      frame.worst = std::max(frame.worst, entry.worst_response);
-    }
-    for (const CertifyMemoCex& suffix : entry.counterexamples) {
-      if (out_.counterexamples.size() >= spec_.max_counterexamples) break;
-      CertifyBranch branch;
-      branch.dead_at_start = dead_;
-      branch.dead_links_at_start = dead_links_;
-      branch.crashes = crashes_;
-      branch.crashes.insert(branch.crashes.end(), suffix.crashes.begin(),
-                            suffix.crashes.end());
-      branch.link_crashes = link_crashes_;
-      branch.link_crashes.insert(branch.link_crashes.end(),
-                                 suffix.link_crashes.begin(),
-                                 suffix.link_crashes.end());
-      branch.silences = silences_;
-      branch.silences.insert(branch.silences.end(), suffix.silences.begin(),
-                             suffix.silences.end());
-      branch.outputs_lost = suffix.outputs_lost;
-      branch.response_time = suffix.response_time;
-      out_.counterexamples.push_back(std::move(branch));
-    }
-  }
-
-  /// Pops the top frame and publishes its entry unless it was poisoned or
-  /// its counterexample detail is incomplete (the task's cap filled inside
-  /// the subtree, so the suffix list would under-represent the total).
-  void close_frame(FaultKey key) {
-    MemoFrame frame = std::move(frames_.back());
-    frames_.pop_back();
-    const std::size_t total_delta =
-        out_.total_counterexamples - frame.total0;
-    const std::size_t detail_delta =
-        out_.counterexamples.size() - frame.detail0;
-    if (frame.poisoned || detail_delta != total_delta) return;
-    CertifyMemoEntry entry;
-    entry.branches = out_.branches - frame.branches0;
-    entry.forks = out_.forks - frame.forks0;
-    entry.events_simulated = out_.events_simulated - frame.events0;
-    entry.instants_kept = out_.instants_kept - frame.kept0;
-    entry.instants_merged = out_.instants_merged - frame.merged0;
-    entry.total_counterexamples = total_delta;
-    entry.worst_response = frame.worst;
-    entry.last_cls = static_cast<std::uint8_t>(key.cls);
-    entry.last_id = key.id;
-    entry.relabeled = frame.relabeled;
-    entry.same_instant = frame.same_instant;
-    entry.counterexamples.reserve(detail_delta);
-    for (std::size_t i = frame.detail0; i < out_.counterexamples.size();
-         ++i) {
-      const CertifyBranch& branch = out_.counterexamples[i];
-      CertifyMemoCex suffix;
-      suffix.crashes.assign(branch.crashes.begin() +
-                                static_cast<std::ptrdiff_t>(
-                                    frame.crashes_depth),
-                            branch.crashes.end());
-      suffix.link_crashes.assign(branch.link_crashes.begin() +
-                                     static_cast<std::ptrdiff_t>(
-                                         frame.links_depth),
-                                 branch.link_crashes.end());
-      suffix.silences.assign(branch.silences.begin() +
-                                 static_cast<std::ptrdiff_t>(
-                                     frame.silences_depth),
-                             branch.silences.end());
-      suffix.outputs_lost = branch.outputs_lost;
-      suffix.response_time = branch.response_time;
-      entry.counterexamples.push_back(std::move(suffix));
-    }
-#ifdef FTSCHED_MEMO_AUDIT
-    entry.audit_origin = audit_stacks(kInfinite);
-#endif
-    memo_->insert(frame.key1, frame.key2, entry);
-  }
-
-#ifdef FTSCHED_MEMO_AUDIT
-  [[nodiscard]] std::string audit_stacks(Time c) const {
-    std::string s;
-    char buf[64];
-    for (const ProcessorId p : dead_) {
-      std::snprintf(buf, sizeof buf, "dead P%d; ", p.value());
-      s += buf;
-    }
-    for (const LinkId l : dead_links_) {
-      std::snprintf(buf, sizeof buf, "dead L%d; ", l.value());
-      s += buf;
-    }
-    for (const FailureEvent& e : crashes_) {
-      std::snprintf(buf, sizeof buf, "crash P%d@%.4f; ",
-                    e.processor.value(), e.time);
-      s += buf;
-    }
-    for (const LinkFailureEvent& e : link_crashes_) {
-      std::snprintf(buf, sizeof buf, "link L%d@%.4f; ", e.link.value(),
-                    e.time);
-      s += buf;
-    }
-    for (const SilentWindow& w : silences_) {
-      std::snprintf(buf, sizeof buf, "sil P%d@[%.4f,%.4f); ",
-                    w.processor.value(), w.from, w.to);
-      s += buf;
-    }
-    if (!is_infinite(c)) {
-      std::snprintf(buf, sizeof buf, "<probe at %.4f>", c);
-      s += buf;
-    }
-    return s;
-  }
-#endif
-
-  /// Executes one child subtree — fork, inject, leaf, recursion — with the
-  /// memo consulted first when pruning is on. The caller has already
-  /// pushed the child's fault onto its stack; `inject` applies it to a
-  /// forked branch.
+  /// Executes one child subtree — fork, inject, leaf, recursion — unless
+  /// the replay cache serves it. The caller has already pushed the child's
+  /// fault onto its stack; `inject` applies it to a forked branch.
   template <typename Inject>
   void explore_child(const Simulator::Branch& cursor, const Inject& inject,
                      Budgets rest, Time c, FaultKey key) {
-    if (memo_ == nullptr) {
-      if (!serve_cached_leaf(rest)) {
-        Simulator::Branch child = cursor.fork();
-        ++out_.forks;
-        inject(child);
-        ++out_.forks;
-        const IterationResult child_leaf = sim_.finish(child.fork());
-        certify_leaf(child_leaf);
-        store_leaf(child_leaf);
-        explore_children(child, child_leaf, rest, c, key, FaultKey{},
-                         kNoFrame);
-      }
-      return;
-    }
-    // Prune path (the replay cache is gated off): fork once for the digest
-    // probe; on a miss the probe fork becomes the child, so the fork
-    // accounting matches the unpruned path exactly (a hit replays the
-    // recording subtree's forks instead, probe fork uncounted).
+    if (serve_cached_leaf(rest)) return;
     Simulator::Branch child = cursor.fork();
+    ++out_.forks;
     inject(child);
-    const StateDigest digest = sim_.branch_digest(child, digest_options_);
-    const std::uint64_t key2 = digest.lo ^ budget_salt(rest, c);
-    ++out_.memo_probes;
-    if (const auto hit = memo_->lookup(digest.hi, key2)) {
-      if (accept_hit(*hit, digest, key)) {
-#ifdef FTSCHED_MEMO_AUDIT
-        // Audit builds: explore the subtree fresh instead of replaying and
-        // scream if the recorded entry disagrees — a digest collision.
-        const std::size_t br0 = out_.branches, fk0 = out_.forks,
-                          kp0 = out_.instants_kept,
-                          mg0 = out_.instants_merged,
-                          tc0 = out_.total_counterexamples;
-        const std::size_t fi = frames_.size();
-        {
-          MemoFrame frame;
-          frame.poisoned = true;  // never store over the audited entry
-          frame.branches0 = br0;
-          frame.crashes_depth = crashes_.size();
-          frame.links_depth = link_crashes_.size();
-          frame.silences_depth = silences_.size();
-          frame.detail0 = out_.counterexamples.size();
-          frame.total0 = tc0;
-          frames_.push_back(frame);
-        }
-        out_.forks += 2;
-        const IterationResult audit_leaf = sim_.finish(child.fork());
-        certify_leaf(audit_leaf);
-        explore_children(child, audit_leaf, rest, c, key, FaultKey{}, fi);
-        frames_.pop_back();
-        if (out_.branches - br0 != hit->branches ||
-            out_.forks - fk0 != hit->forks ||
-            out_.instants_kept - kp0 != hit->instants_kept ||
-            out_.instants_merged - mg0 != hit->instants_merged ||
-            out_.total_counterexamples - tc0 !=
-                hit->total_counterexamples) {
-          std::fprintf(
-              stderr,
-              "MEMO AUDIT MISMATCH digest=%016llx/%016llx t0=%.6f "
-              "budgets=%d/%d/%d relab=%d/%d same=%d\n"
-              "  entry: br=%zu fk=%zu kept=%zu mrg=%zu cex=%zu\n"
-              "  fresh: br=%zu fk=%zu kept=%zu mrg=%zu cex=%zu\n"
-              "  recorder: %s\n  replayer: %s\n",
-              static_cast<unsigned long long>(digest.hi),
-              static_cast<unsigned long long>(digest.lo), c, rest.crashes,
-              rest.links, rest.silences, int(hit->relabeled),
-              int(digest.relabeled), int(hit->same_instant), hit->branches,
-              hit->forks, hit->instants_kept, hit->instants_merged,
-              hit->total_counterexamples, out_.branches - br0,
-              out_.forks - fk0, out_.instants_kept - kp0,
-              out_.instants_merged - mg0, out_.total_counterexamples - tc0,
-              hit->audit_origin.c_str(), audit_stacks(c).c_str());
-        }
-        return;
-#else
-        ++out_.memo_hits;
-        replay_hit(*hit);
-        return;
-#endif
-      }
-    }
-    const std::size_t frame_index = frames_.size();
-    {
-      MemoFrame frame;
-      frame.key1 = digest.hi;
-      frame.key2 = key2;
-      frame.relabeled = digest.relabeled;
-      frame.last_cls = key.cls;
-      frame.last_id = key.id;
-      frame.crashes_depth = crashes_.size();
-      frame.links_depth = link_crashes_.size();
-      frame.silences_depth = silences_.size();
-      frame.branches0 = out_.branches;
-      frame.forks0 = out_.forks;
-      frame.events0 = out_.events_simulated;
-      frame.kept0 = out_.instants_kept;
-      frame.merged0 = out_.instants_merged;
-      frame.total0 = out_.total_counterexamples;
-      frame.detail0 = out_.counterexamples.size();
-      frames_.push_back(frame);
-    }
-    out_.forks += 2;
+    ++out_.forks;
     const IterationResult child_leaf = sim_.finish(child.fork());
     certify_leaf(child_leaf);
-    explore_children(child, child_leaf, rest, c, key, FaultKey{},
-                     frame_index);
-    close_frame(key);
+    store_leaf(child_leaf);
+    explore_children(child, child_leaf, rest, c, key, FaultKey{});
   }
 
-  /// The slack cut's to-independent test: does deferring the victim's
-  /// first send at/after `c` to ANY closing edge provably overshoot the
-  /// response envelope? True when some first-instant send's static
-  /// critical tail satisfies c + tail > bound + prev_len with margin —
-  /// the deferred send resumes at `to`, so response >= to + tail, while
-  /// the branch's allowance is at most max(prev window lengths, to - b)
-  /// for a first block at b >= c - eps; either way the envelope is
-  /// exceeded. Only sends at the first blocked instant are consulted:
-  /// every kept closing edge provably blocks exactly those.
-  [[nodiscard]] bool provably_late_silence(
-      ProcessorId victim, const std::vector<SendStart>& sends,
-      Time c) const {
-    const auto first = std::lower_bound(
-        sends.begin(), sends.end(), c - kTimeEpsilon,
-        [](const SendStart& s, Time t) { return s.time < t; });
-    if (first == sends.end()) return false;
-    Time prev_len = 0;
-    for (const SilentWindow& window : silences_) {
-      prev_len = std::max(prev_len, window.to - window.from);
-    }
-    for (auto it = first; it != sends.end() && it->time == first->time;
-         ++it) {
-      const Time tail = slack_->critical_tail(victim, it->dep, it->link);
-      if (is_infinite(tail)) continue;
-      // 4 epsilons of margin: one for b >= c - eps, one for time_gt's own
-      // tolerance, two against duration-sum rounding drift between this
-      // static bound and the simulator's event arithmetic.
-      if (time_gt(c + tail,
-                  spec_.response_bound + prev_len + 4 * kTimeEpsilon)) {
-        return true;
-      }
-    }
-    return false;
-  }
-
+  /// Explores every child of `node` whose fault comes after `last` in the
+  /// canonical order. A task root passes its first victim as `only` and
+  /// its slice: every slice plans the same kept first-fault instants,
+  /// explores its own contiguous range of them, and leaves the root-level
+  /// accounting (instants kept/merged, the cursor fork) to slice 0.
   void explore_children(const Simulator::Branch& node,
                         const IterationResult& leaf, Budgets budgets,
                         Time t0, FaultKey last, FaultKey only,
-                        std::size_t frame_index) {
+                        Slice slice = {}) {
     if (budgets.exhausted()) return;
     const std::vector<Time> candidates =
         representative_instants(leaf.trace, t0, deadlines_);
     if (candidates.empty()) return;
-    if (frame_index != kNoFrame && time_eq(candidates.front(), t0)) {
-      // The subtree's top level has same-instant candidates: its shape
-      // depends on the `last` sibling filter, which the memo entry must
-      // advertise (see accept_hit).
-      frames_[frame_index].same_instant = true;
-    }
     const Time beyond = candidates.back() + beyond_tail_;
 
     struct VictimPlan {
       FaultKey key;
       std::vector<Time> instants;
-      std::vector<SendStart> sends;  // silence victims only
+      std::vector<Time> sends;  // silence victims only
     };
     std::vector<VictimPlan> victims;
+    const std::size_t kept0 = out_.instants_kept;
+    const std::size_t merged0 = out_.instants_merged;
     auto consider = [&](FaultKey key) {
       if (only.valid() && !(key == only)) return;
       VictimPlan plan;
@@ -934,12 +552,28 @@ class Explorer {
         consider(FaultKey{kClsSilence, static_cast<int>(p)});
       }
     }
+    if (slice.index != 0) {
+      out_.instants_kept = kept0;
+      out_.instants_merged = merged0;
+    }
     if (victims.empty()) return;
-
     // One cursor per node: the shared prefix is executed once per instant,
     // each (victim, instant) branch forks it.
+    if (slice.index == 0) ++out_.forks;
+    if (slice.count > 1) {
+      // `only` leaves exactly one victim at a task root.
+      std::vector<Time>& instants = victims.front().instants;
+      const std::size_t n = instants.size();
+      instants.erase(
+          instants.begin() + static_cast<std::ptrdiff_t>(
+                                 n * (slice.index + 1) / slice.count),
+          instants.end());
+      instants.erase(instants.begin(),
+                     instants.begin() + static_cast<std::ptrdiff_t>(
+                                            n * slice.index / slice.count));
+      if (instants.empty()) return;
+    }
     Simulator::Branch cursor = node.fork();
-    ++out_.forks;
     std::vector<std::size_t> next(victims.size(), 0);
     for (;;) {
       // Earliest un-dispatched instant across the victims.
@@ -988,31 +622,8 @@ class Explorer {
               static_cast<ProcessorId::underlying_type>(key.id)};
           Budgets rest = budgets;
           --rest.silences;
-          // Slack cut: every closing edge of a window opening at `c`
-          // defers the same first-instant sends, so one static test covers
-          // the whole edge fan. Only leaf windows (budgets exhausted, no
-          // deeper faults to seed) at an already-full counterexample cap
-          // are cut — the verdict, counts, and detail list then match the
-          // unpruned sweep exactly; only events_simulated (not part of the
-          // certificate) differs.
-          const bool cut =
-              slack_active_ && rest.exhausted() &&
-              out_.counterexamples.size() >= spec_.max_counterexamples &&
-              provably_late_silence(victim, victims[v].sends, c);
           for (const Time to :
                silence_tos(victims[v].sends, candidates, c, beyond)) {
-            if (cut) {
-              // The unpruned leaf's exact accounting, minus the simulation:
-              // one branch, its two forks, one late counterexample (detail
-              // cap is full, so no entry is appended there either), no
-              // worst_response update (record_leaf skips late leaves).
-              ++out_.branches;
-              out_.forks += 2;
-              ++out_.total_counterexamples;
-              ++out_.slack_cuts;
-              for (MemoFrame& frame : frames_) frame.poisoned = true;
-              continue;
-            }
             silences_.push_back(SilentWindow{victim, c, to});
             explore_child(
                 cursor,
@@ -1037,10 +648,6 @@ class Explorer {
   const std::uint64_t schedule_key_;
   std::uint64_t pending_key_ = 0;
   bool have_pending_key_ = false;
-  CertifyMemo* const memo_;       // null = subtree memoization off
-  const SlackTable* const slack_;  // null or empty = slack cut off
-  const DigestOptions digest_options_;
-  const bool slack_active_;
   /// Resolved chain probes, spec order (empty = scalar-only sweep).
   const std::vector<LatencyProbe>& probes_;
   /// Scratch: names the current leaf violates (record_leaf only).
@@ -1051,9 +658,6 @@ class Explorer {
   std::vector<FailureEvent> crashes_;
   std::vector<LinkFailureEvent> link_crashes_;
   std::vector<SilentWindow> silences_;
-  // Open memo frames, root-first; indexed (not pointered) because the
-  // vector reallocates during recursion.
-  std::vector<MemoFrame> frames_;
 };
 
 /// Subsets of {0..count-1} with size 0..max, sizes ascending,
@@ -1220,6 +824,55 @@ CertifySweep sweep_of(const SweepPlan& plan, const CertifySpec& spec) {
   return sweep;
 }
 
+/// Folds `from` into `into`, which precedes it in exploration order:
+/// counts summed, worst values maxed, counterexample detail appended up
+/// to `cap`, collected branches appended. A task's slices and a sweep's
+/// tasks merge through this one function.
+void fold_partial(CertifyTaskPartial& into, CertifyTaskPartial&& from,
+                  std::size_t cap) {
+  into.branches += from.branches;
+  into.forks += from.forks;
+  into.leaves_reused += from.leaves_reused;
+  into.events_simulated += from.events_simulated;
+  into.instants_kept += from.instants_kept;
+  into.instants_merged += from.instants_merged;
+  into.total_counterexamples += from.total_counterexamples;
+  into.worst_response = std::max(into.worst_response, from.worst_response);
+  for (std::size_t i = 0; i < into.worst_chain_latency.size() &&
+                          i < from.worst_chain_latency.size();
+       ++i) {
+    into.worst_chain_latency[i] =
+        std::max(into.worst_chain_latency[i], from.worst_chain_latency[i]);
+  }
+  for (CertifyBranch& cex : from.counterexamples) {
+    if (into.counterexamples.size() >= cap) break;
+    into.counterexamples.push_back(std::move(cex));
+  }
+  for (CertifyBranch& branch : from.collected) {
+    into.collected.push_back(std::move(branch));
+  }
+}
+
+/// Slices per first-victim task. A constant, so the certificate never
+/// depends on it or on the thread count: slices only bound the critical
+/// path, which one whole task would otherwise set (a third of a deep
+/// sweep's work).
+constexpr std::size_t kSlicesPerTask = 16;
+
+/// Slices `task` is cut into. Every slice re-simulates the task's root
+/// leaf, so a task whose first-fault instants each root a single leaf — a
+/// crash or link death that exhausts the budgets — stays whole: slicing it
+/// would add one leaf run per slice and shorten nothing worth the cost. A
+/// silence opening fans out over its closing edges, so it is sliced.
+std::size_t slice_count(const SweepPlan::Task& task) {
+  if (!task.first.valid()) return 1;
+  Budgets rest = task.budgets;
+  if (task.first.cls == kClsCrash) --rest.crashes;
+  if (task.first.cls == kClsLinkDeath) --rest.links;
+  const bool single_leaf = rest.exhausted() && task.first.cls != kClsSilence;
+  return single_leaf ? 1 : kSlicesPerTask;
+}
+
 }  // namespace
 
 CertifySweep certify_sweep(const Schedule& schedule,
@@ -1229,18 +882,15 @@ CertifySweep certify_sweep(const Schedule& schedule,
 
 CertifyMerger::CertifyMerger(const CertifySweep& sweep,
                              const CertifySpec& spec)
-    : max_counterexamples_(spec.max_counterexamples),
-      collect_branches_(spec.collect_branches) {
-  report_.prune = spec.prune && !spec.collect_branches &&
-                  spec.cache == nullptr && spec.latency_constraints.empty();
+    : max_counterexamples_(spec.max_counterexamples) {
   report_.latency_constraints = spec.latency_constraints;
-  report_.worst_chain_latency.assign(spec.latency_constraints.size(), 0);
   report_.max_failures = sweep.max_failures;
   report_.max_link_failures = sweep.max_link_failures;
   report_.max_silences = sweep.max_silences;
   report_.response_bound = sweep.response_bound;
   report_.subsets = sweep.subsets;
   report_.link_subsets = sweep.link_subsets;
+  total_.worst_chain_latency.assign(spec.latency_constraints.size(), 0);
 }
 
 void CertifyMerger::add(CertifyTaskPartial&& partial) {
@@ -1248,38 +898,21 @@ void CertifyMerger::add(CertifyTaskPartial&& partial) {
                   "CertifyMerger::add requires ascending task indices");
   any_added_ = true;
   last_index_ = partial.task_index;
-  report_.branches += partial.branches;
-  report_.forks += partial.forks;
-  report_.leaves_reused += partial.leaves_reused;
-  report_.events_simulated += partial.events_simulated;
-  report_.instants_kept += partial.instants_kept;
-  report_.instants_merged += partial.instants_merged;
-  report_.total_counterexamples += partial.total_counterexamples;
-  report_.memo_probes += partial.memo_probes;
-  report_.memo_hits += partial.memo_hits;
-  report_.memo_branches_replayed += partial.memo_branches_replayed;
-  report_.slack_cuts += partial.slack_cuts;
-  report_.worst_response =
-      std::max(report_.worst_response, partial.worst_response);
-  for (std::size_t i = 0; i < report_.worst_chain_latency.size() &&
-                          i < partial.worst_chain_latency.size();
-       ++i) {
-    report_.worst_chain_latency[i] = std::max(
-        report_.worst_chain_latency[i], partial.worst_chain_latency[i]);
-  }
-  for (CertifyBranch& cex : partial.counterexamples) {
-    if (report_.counterexamples.size() < max_counterexamples_) {
-      report_.counterexamples.push_back(std::move(cex));
-    }
-  }
-  if (collect_branches_) {
-    for (CertifyBranch& branch : partial.collected) {
-      report_.branches_list.push_back(std::move(branch));
-    }
-  }
+  fold_partial(total_, std::move(partial), max_counterexamples_);
 }
 
 CertifyReport CertifyMerger::finish() {
+  report_.branches = total_.branches;
+  report_.forks = total_.forks;
+  report_.leaves_reused = total_.leaves_reused;
+  report_.events_simulated = total_.events_simulated;
+  report_.instants_kept = total_.instants_kept;
+  report_.instants_merged = total_.instants_merged;
+  report_.total_counterexamples = total_.total_counterexamples;
+  report_.worst_response = total_.worst_response;
+  report_.worst_chain_latency = std::move(total_.worst_chain_latency);
+  report_.counterexamples = std::move(total_.counterexamples);
+  report_.branches_list = std::move(total_.collected);
   report_.certified = report_.total_counterexamples == 0;
   report_.leaves_fresh = report_.branches - report_.leaves_reused;
   report_.metrics.add_counter("certify.subsets", report_.subsets);
@@ -1328,84 +961,65 @@ bool certify_shard(const Schedule& schedule, const CertifySpec& spec,
   const std::vector<LatencyProbe> probes =
       resolve_latency_constraints(schedule, spec.latency_constraints);
 
-  // Pruning is gated off under collect_branches (every branch must be
-  // materialized, replaying a memo subtree would skip its enumeration),
-  // under a replay cache (the cache is keyed by exact fault pattern; memo
-  // replay would starve it nondeterministically), and under chain
-  // constraints (memo entries carry only the scalar leaf verdict).
-  const bool prune_enabled = spec.prune && !spec.collect_branches &&
-                             spec.cache == nullptr && probes.empty();
-  PruneContext prune;
-  CertifyMemo memo;
-  const std::vector<std::vector<std::uint32_t>> classes =
-      prune_enabled ? automorphism_classes(schedule)
-                    : std::vector<std::vector<std::uint32_t>>{};
-  const SlackTable slack =
-      prune_enabled ? SlackTable::build(schedule) : SlackTable{};
-  if (prune_enabled) {
-    // spec.memo lets a caller share one memo across sweeps (the frontier
-    // walk); otherwise this shard owns a private one.
-    prune.memo = spec.memo != nullptr ? spec.memo : &memo;
-    prune.slack = &slack;
-    prune.digest_options.with_allowance = !is_infinite(spec.response_bound);
-    prune.digest_options.proc_classes = classes.empty() ? nullptr : &classes;
-  }
-
   std::vector<std::size_t> owned;
   for (std::size_t t = 0; t < plan.tasks.size(); ++t) {
     if (shard.owns(t)) owned.push_back(t);
   }
 
-  auto run_task = [&](std::size_t t) {
-    CertifyTaskPartial partial;
-    partial.task_index = t;
-    Explorer explorer(simulator, spec, deadlines, procs, links, schedule_key,
-                      prune, probes, partial);
-    explorer.run(*plan.tasks[t].dead, *plan.tasks[t].dead_links,
-                 plan.tasks[t].first, plan.tasks[t].budgets);
-    return partial;
-  };
-
-  const unsigned threads = resolve_threads(spec.threads);
-  if (threads == 1 || owned.size() <= 1) {
-    for (const std::size_t t : owned) {
-      if (cancelled && cancelled()) return false;
-      emit(run_task(t));
-    }
-    return true;
+  // Every owned task runs as slice_count() slices on the pool.
+  // Slices finish out of order; each lands in its task's row, and a task
+  // whose row is complete is folded in slice order and flushed to `emit`
+  // in ascending task order, so the consumer sees exactly the sequential
+  // stream. Slices share no state, so the fold is exact.
+  std::vector<std::vector<CertifyTaskPartial>> rows(owned.size());
+  for (std::size_t pos = 0; pos < owned.size(); ++pos) {
+    rows[pos].resize(slice_count(plan.tasks[owned[pos]]));
   }
-
-  // Parallel path: workers finish out of order; completed partials park in
-  // a cursor-ordered buffer and are flushed to `emit` in ascending task
-  // order, so the consumer sees exactly the single-threaded stream. The
-  // buffer is bounded by the out-of-order window (at most the number of
-  // in-flight tasks), not the task count.
+  std::vector<std::size_t> finished(owned.size(), 0);
   std::mutex emit_mutex;
-  std::unordered_map<std::size_t, CertifyTaskPartial> ready;
   std::size_t next_pos = 0;
   bool was_cancelled = false;
-  WorkPool pool(threads);
-  for (std::size_t pos = 0; pos < owned.size(); ++pos) {
-    pool.submit([&, pos] {
-      {
-        const std::lock_guard<std::mutex> lock(emit_mutex);
-        if (was_cancelled) return;
-        if (cancelled && cancelled()) {
-          was_cancelled = true;
-          return;
-        }
-      }
-      CertifyTaskPartial partial = run_task(owned[pos]);
+  auto run_slice = [&](std::size_t pos, Slice slice) {
+    {
       const std::lock_guard<std::mutex> lock(emit_mutex);
-      ready.emplace(pos, std::move(partial));
-      while (true) {
-        const auto it = ready.find(next_pos);
-        if (it == ready.end()) break;
-        emit(std::move(it->second));
-        ready.erase(it);
-        ++next_pos;
+      if (was_cancelled) return;
+      if (cancelled && cancelled()) {
+        was_cancelled = true;
+        return;
       }
-    });
+    }
+    const SweepPlan::Task& task = plan.tasks[owned[pos]];
+    CertifyTaskPartial partial;
+    partial.task_index = owned[pos];
+    Explorer explorer(simulator, spec, deadlines, procs, links, schedule_key,
+                      probes, partial);
+    explorer.run(*task.dead, *task.dead_links, task.first, task.budgets,
+                 slice);
+    const std::lock_guard<std::mutex> lock(emit_mutex);
+    rows[pos][slice.index] = std::move(partial);
+    ++finished[pos];
+    while (next_pos < owned.size() &&
+           finished[next_pos] == rows[next_pos].size()) {
+      std::vector<CertifyTaskPartial> row = std::move(rows[next_pos]);
+      for (std::size_t s = 1; s < row.size(); ++s) {
+        fold_partial(row.front(), std::move(row[s]),
+                     spec.max_counterexamples);
+      }
+      emit(std::move(row.front()));
+      ++next_pos;
+    }
+  };
+  WorkPool pool(spec.threads);
+  // Each worker pops its own deque from the back, so dealing the slices
+  // in reverse starts the sweep at its head, where the first-fault
+  // subtrees are largest.
+  for (std::size_t pos = owned.size(); pos-- > 0;) {
+    const std::size_t count = rows[pos].size();
+    for (std::size_t s = count; s-- > 0;) {
+      pool.submit([&run_slice, pos, s, count] {
+        run_slice(pos, Slice{s, count});
+      });
+    }
   }
   pool.wait();
   return !was_cancelled;
@@ -1583,14 +1197,6 @@ std::string CertifyReport::to_text(const ArchitectureGraph& arch) const {
                 threads_used == 1 ? "" : "s");
   out += "rate:     ";
   out += rate;
-  if (prune && threads_used == 1) {
-    // Memo/cut telemetry is a publication race across workers, so it is
-    // only printed where it is reproducible: the single-threaded path.
-    out += "prune:    " + std::to_string(memo_hits) + "/" +
-           std::to_string(memo_probes) + " memo hits, " +
-           std::to_string(memo_branches_replayed) + " branches replayed, " +
-           std::to_string(slack_cuts) + " slack cuts\n";
-  }
   for (const CertifyBranch& cex : counterexamples) {
     out += "  counterexample: " + branch_text(cex, arch) + "\n";
   }

@@ -66,28 +66,15 @@
 // (at most the window's own length, and 0 for a window that blocked
 // nothing).
 //
-// Pruning (CertifySpec::prune). Two verdict-exact cuts on top of dedup:
-//  * subtree memoization — before exploring a child subtree, the child's
-//    simulator state digest (Simulator::branch_digest, canonical under
-//    victim relabeling within architecture automorphism classes) plus its
-//    remaining budgets are looked up in a sweep-wide CertifyMemo; a hit
-//    replays the recorded subtree's exact contribution (branch/fork/event
-//    counts, worst response, counterexample suffixes) instead of
-//    re-simulating it;
-//  * slack cuts — a silence closing-edge candidate whose blocked send
-//    provably cannot make the response on time (the send's static critical
-//    tail already overshoots the bound plus any earnable allowance) is
-//    counted as a late branch without simulating it, once the
-//    counterexample detail cap is full.
-// Both preserve certificates byte for byte: --prune=on output is
-// CI-diffed against --prune=off.
-//
 // Sharing. Branches are never replayed from t=0: the engine forks the
 // paused parent prefix (Simulator::Branch) at each candidate instant, so
 // the cost of a node is its suffix, not its depth. Tasks — one per
-// (dead subsets, first fault victim) — fan across the WorkPool and merge
-// in task-index order, making the report a pure function of
-// (schedule, spec), bit-identical for any thread count.
+// (dead subsets, first fault victim) — are cut into a fixed number of
+// slices of their first victim's kept first-fault instants (unless each
+// such instant roots a single leaf). Slices fan across the WorkPool, fold
+// into their task in slice order, and tasks merge in task-index order,
+// making the report a pure function of (schedule, spec), bit-identical
+// for any thread count.
 #pragma once
 
 #include <array>
@@ -121,7 +108,7 @@ namespace ftsched::campaign {
 /// being a pure function of the lookup/insert sequence. First insert of a
 /// key wins (like unordered_map::emplace); thread-safe for concurrent
 /// lookups and inserts.
-template <typename Value, std::size_t SlotsPerShard = 1024>
+template <typename Value>
 class TagPublishCache {
  public:
   TagPublishCache() = default;
@@ -191,9 +178,8 @@ class TagPublishCache {
 
  private:
   static constexpr std::size_t kShards = 16;
-  static_assert((SlotsPerShard & (SlotsPerShard - 1)) == 0,
-                "SlotsPerShard must be a power of two");
-  static constexpr std::size_t kSlotMask = SlotsPerShard - 1;
+  static constexpr std::size_t kSlotsPerShard = 1024;  // a power of two
+  static constexpr std::size_t kSlotMask = kSlotsPerShard - 1;
   static constexpr std::size_t kProbeWindow = 8;
   static constexpr std::uint64_t kEmpty = 0;
   static constexpr std::uint64_t kBusy = 1;
@@ -234,7 +220,7 @@ class TagPublishCache {
   };
 
   struct Shard {
-    std::vector<Slot> slots{SlotsPerShard};
+    std::vector<Slot> slots{kSlotsPerShard};
     mutable std::mutex mutex;
     std::unordered_map<Key, Value, KeyHash> overflow;
   };
@@ -270,62 +256,6 @@ class CertifyCache : public TagPublishCache<CertifyLeafOutcome> {
   using Entry = CertifyLeafOutcome;
 };
 
-/// One counterexample suffix stored in a memo entry: the faults the
-/// memoized subtree added BELOW its root, plus the leaf verdict. A replayer
-/// grafts the suffix onto its own fault stacks (which spell the same
-/// simulator state, by digest) to materialize a full CertifyBranch.
-struct CertifyMemoCex {
-  std::vector<FailureEvent> crashes;
-  std::vector<LinkFailureEvent> link_crashes;
-  std::vector<SilentWindow> silences;
-  bool outputs_lost = false;
-  Time response_time = kInfinite;
-};
-
-/// Everything a memoized subtree contributes to its enclosing report: pure
-/// deltas (counts, worst response, counterexample suffixes) relative to the
-/// subtree root, valid for ANY branch reaching a state with the same digest
-/// and the same remaining budgets. See DESIGN.md ("Pruned certification")
-/// for the soundness argument, including why `last_*`/`same_instant` guard
-/// the same-instant canonical-order filter and why relabeled hits are
-/// restricted.
-struct CertifyMemoEntry {
-  std::size_t branches = 0;
-  std::size_t forks = 0;
-  std::size_t events_simulated = 0;
-  std::size_t instants_kept = 0;
-  std::size_t instants_merged = 0;
-  std::size_t total_counterexamples = 0;
-  /// Max response over the subtree's on-time, output-complete leaves.
-  Time worst_response = 0;
-  /// The recorder's root fault key (class, id) — the `last` same-instant
-  /// tie-break context the subtree was explored under.
-  std::uint8_t last_cls = 0;
-  std::int64_t last_id = -1;
-  /// True when canonical victim relabeling moved a processor in the
-  /// recorder's root digest.
-  bool relabeled = false;
-  /// True when the subtree root's candidate list contained an instant
-  /// time-equal to its own injection instant — the one case where the
-  /// same-instant sibling filter makes the subtree depend on `last`.
-  bool same_instant = false;
-  /// Counterexample suffixes, exploration order, capped at the recording
-  /// spec's max_counterexamples (total_counterexamples counts all).
-  std::vector<CertifyMemoCex> counterexamples;
-#ifdef FTSCHED_MEMO_AUDIT
-  /// Audit builds only: the recorder's fault stacks, for diagnosing a
-  /// digest collision when a replayed entry disagrees with fresh
-  /// exploration.
-  std::string audit_origin;
-#endif
-};
-
-/// Subtree memo table for one certification sweep: keyed by
-/// (state digest, remaining budgets ⊕ subtree-root instant), shared across
-/// the sweep's tasks and threads. 4096 slots per shard — deep-budget
-/// sweeps touch far more distinct states than leaf patterns.
-using CertifyMemo = TagPublishCache<CertifyMemoEntry, 4096>;
-
 struct CertifySpec {
   /// Processor-failure budget to certify; -1 derives the schedule's own
   /// failures_tolerated().
@@ -354,14 +284,6 @@ struct CertifySpec {
   /// CertifyReport::branches_list — the bench replays that list from
   /// scratch as its baseline. Off by default (memory).
   bool collect_branches = false;
-  /// Subtree memoization + slack cuts (see the header comment). Verdict-
-  /// exact and certificate-byte-exact, so on by default; the naive-bench
-  /// and A/B paths turn it off. Silently disabled when it cannot apply:
-  /// with collect_branches (the memo stores counterexample suffixes only,
-  /// not certified-branch lists), with a replay cache (the cache's
-  /// leaves_reused accounting assumes every leaf is individually visited),
-  /// or with latency constraints (memo entries carry no per-chain data).
-  bool prune = true;
   /// Replay cache for incremental re-certification (null = off). Owned by
   /// the caller and shared across sweeps: budget-exhausted leaves (and the
   /// dead-at-start-only root leaves) whose (schedule, fault pattern) pair
@@ -376,19 +298,11 @@ struct CertifySpec {
   /// constraints. Validated and resolved once per sweep through
   /// resolve_latency_constraints — malformed specs throw
   /// std::invalid_argument, like every other certifier entry point.
-  /// Non-empty constraints gate the subtree memo AND the replay cache off:
-  /// their entries carry only the scalar leaf verdict, not the per-op
-  /// completion table the chains are judged from. Empty (the default)
-  /// keeps the certificate byte-identical to the scalar certifier.
+  /// Non-empty constraints gate the replay cache off: its entries carry
+  /// only the scalar leaf verdict, not the per-op completion table the
+  /// chains are judged from. Empty (the default) keeps the certificate
+  /// byte-identical to the scalar certifier.
   std::vector<LatencyConstraint> latency_constraints = {};
-  /// Caller-owned subtree memo shared ACROSS sweeps (null = the sweep owns
-  /// a private one). Sound whenever schedule, response_bound, dedup, and
-  /// max_counterexamples stay fixed between the sweeps sharing it: entries
-  /// are keyed by (state digest, remaining budgets ⊕ subtree-root instant),
-  /// which is independent of the top-level budget caps — the frontier walk
-  /// reuses one memo across every (K, L, S) lattice point this way.
-  /// Ignored whenever pruning is (or is gated) off.
-  CertifyMemo* memo = nullptr;
 };
 
 /// One branch of the fault tree: the complete fault pattern of one
@@ -455,19 +369,6 @@ struct CertifyReport {
   /// kept [from, to) combination).
   std::size_t instants_kept = 0;
   std::size_t instants_merged = 0;
-  /// True when spec.prune was in effect for this sweep.
-  bool prune = false;
-  /// Pruning telemetry: memo probes / hits, branches served by memo replay
-  /// instead of simulation, and silence closing edges condemned by the
-  /// slack cut. Unlike every other counter these are NOT thread-count
-  /// deterministic — which task publishes a shared memo entry first is a
-  /// race — so they stay out of report.metrics and to_json (both pinned
-  /// byte-identical across thread counts); to_text prints them only on the
-  /// single-threaded diagnostics path.
-  std::size_t memo_probes = 0;
-  std::size_t memo_hits = 0;
-  std::size_t memo_branches_replayed = 0;
-  std::size_t slack_cuts = 0;
   /// Violating branches, exploration order; detail capped at
   /// spec.max_counterexamples, every one counted.
   std::vector<CertifyBranch> counterexamples;
@@ -565,11 +466,6 @@ struct CertifyTaskPartial {
   /// Per spec constraint: worst satisfied chain latency (sized like the
   /// spec's latency_constraints; empty for scalar sweeps).
   std::vector<Time> worst_chain_latency;
-  /// Pruning telemetry (not thread-count deterministic; see CertifyReport).
-  std::size_t memo_probes = 0;
-  std::size_t memo_hits = 0;
-  std::size_t memo_branches_replayed = 0;
-  std::size_t slack_cuts = 0;
   std::vector<CertifyBranch> counterexamples;
   /// Certified branches (spec.collect_branches only; never streamed).
   std::vector<CertifyBranch> collected;
@@ -594,16 +490,17 @@ class CertifyMerger {
 
  private:
   std::size_t max_counterexamples_;
-  bool collect_branches_;
   bool any_added_ = false;
   std::size_t last_index_ = 0;
+  /// Every partial added so far, folded in task order.
+  CertifyTaskPartial total_;
   CertifyReport report_;
 };
 
-/// Runs the shard's slice of the sweep and hands each finished task's
+/// Runs the shard's share of the sweep and hands each finished task's
 /// partial to `emit` in ascending global task-index order (emit is never
 /// called concurrently). `cancelled`, when provided, is polled between
-/// tasks: once it returns true, remaining tasks are abandoned and the
+/// task slices: once it returns true, remaining slices are abandoned and the
 /// function returns false (the per-request deadline hook of the certifyd
 /// server); a null/false-forever hook always returns true. Deterministic
 /// for any thread count, like certify().

@@ -16,6 +16,7 @@ WorkPool::WorkPool(unsigned threads) {
   for (unsigned i = 0; i < count; ++i) {
     slots_.push_back(std::make_unique<Slot>());
   }
+  if (count == 1) return;  // wait() runs the tasks on the caller
   workers_.reserve(count);
   for (unsigned i = 0; i < count; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
@@ -97,21 +98,26 @@ void WorkPool::worker_loop(std::size_t self) {
       if (stopping_) return;
       continue;
     }
-    try {
-      task();
-    } catch (...) {
-      const std::lock_guard<std::mutex> lock(state_mutex_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    {
-      const std::lock_guard<std::mutex> lock(state_mutex_);
-      --pending_;
-      if (pending_ == 0) all_done_.notify_all();
-    }
+    execute(task);
   }
 }
 
+void WorkPool::execute(const std::function<void()>& task) {
+  try {
+    task();
+  } catch (...) {
+    const std::lock_guard<std::mutex> lock(state_mutex_);
+    if (!first_error_) first_error_ = std::current_exception();
+  }
+  const std::lock_guard<std::mutex> lock(state_mutex_);
+  --pending_;
+  if (pending_ == 0) all_done_.notify_all();
+}
+
 void WorkPool::wait() {
+  if (workers_.empty()) {
+    while (std::function<void()> task = take(0)) execute(task);
+  }
   std::unique_lock<std::mutex> lock(state_mutex_);
   all_done_.wait(lock, [this] { return pending_ == 0; });
   if (first_error_) {

@@ -13,7 +13,10 @@
 // obviously correct under TSan.
 //
 // The pool is single-session: submit tasks, then wait(); wait() rethrows
-// the first task exception. Destruction joins all workers.
+// the first task exception. Destruction joins all workers. A pool of one
+// thread spawns none: wait() runs the tasks on the caller, in the order a
+// lone worker would take them, so callers keep one code path for every
+// thread count without paying a thread hand-off at 1.
 #pragma once
 
 #include <atomic>
@@ -35,7 +38,8 @@ namespace ftsched::campaign {
 
 class WorkPool {
  public:
-  /// Spawns resolve_threads(threads) workers, idle until tasks arrive.
+  /// Spawns resolve_threads(threads) workers, idle until tasks arrive —
+  /// none when that is 1 (see the header comment).
   explicit WorkPool(unsigned threads);
   ~WorkPool();
 
@@ -43,7 +47,7 @@ class WorkPool {
   WorkPool& operator=(const WorkPool&) = delete;
 
   [[nodiscard]] unsigned thread_count() const noexcept {
-    return static_cast<unsigned>(workers_.size());
+    return static_cast<unsigned>(slots_.size());
   }
 
   /// Enqueues `task` on the next worker's deque (round-robin).
@@ -61,6 +65,8 @@ class WorkPool {
 
   void worker_loop(std::size_t self);
   [[nodiscard]] std::function<void()> take(std::size_t self);
+  /// Runs one taken task, recording its exception, and retires it.
+  void execute(const std::function<void()>& task);
 
   std::vector<std::unique_ptr<Slot>> slots_;
   std::vector<std::thread> workers_;

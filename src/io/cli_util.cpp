@@ -47,6 +47,13 @@ ParseStatus parse_time(const char* text, double& out) {
   return out > 0.0 ? ParseStatus::kOk : ParseStatus::kMalformed;
 }
 
+ParseStatus parse_nonnegative(const char* text, double& out) {
+  const ParseStatus status = checked(
+      text, out, [](const char* s, char** end) { return std::strtod(s, end); });
+  if (status != ParseStatus::kOk) return status;
+  return out >= 0.0 ? ParseStatus::kOk : ParseStatus::kMalformed;
+}
+
 ParseStatus parse_shard(const char* text, std::size_t& index,
                         std::size_t& count) {
   errno = 0;

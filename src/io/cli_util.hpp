@@ -32,6 +32,9 @@ enum class ParseStatus { kOk, kMalformed, kOutOfRange };
 /// Strictly positive double into `out`.
 [[nodiscard]] ParseStatus parse_time(const char* text, double& out);
 
+/// Non-negative double into `out`.
+[[nodiscard]] ParseStatus parse_nonnegative(const char* text, double& out);
+
 /// "I/N" shard assignment with 0 <= I < N.
 [[nodiscard]] ParseStatus parse_shard(const char* text, std::size_t& index,
                                       std::size_t& count);

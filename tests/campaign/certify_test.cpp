@@ -7,6 +7,7 @@
 // verdict relative to the naive enumerator it prunes — per fault class.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -223,6 +224,76 @@ TEST(Certify, ReportIsThreadCountInvariantWithLinkAndSilenceBudgets) {
     expect_same_report(one, many);
     EXPECT_EQ(one.to_json(*ex.problem.architecture),
               many.to_json(*ex.problem.architecture));
+  }
+}
+
+TEST(Certify, DeepSweepReportIsThreadCountInvariant) {
+  // The fig22 K=2+S=1 sweep: first-victim tasks large enough that every
+  // slice carries work and counterexamples, folded back in slice order.
+  const OwnedProblem ex = workload::paper_example2();
+  const Schedule schedule = schedule_solution2(ex.problem).value();
+  const ArchitectureGraph& arch = *schedule.problem().architecture;
+  CertifySpec spec;
+  spec.max_failures = 2;
+  spec.max_silences = 1;
+  spec.threads = 1;
+  const CertifyReport one = certify(schedule, spec);
+  EXPECT_FALSE(one.certified);
+  for (const unsigned threads : {2u, 8u}) {
+    spec.threads = threads;
+    const CertifyReport many = certify(schedule, spec);
+    expect_same_report(one, many);
+    EXPECT_EQ(one.to_json(arch), many.to_json(arch)) << threads << " threads";
+  }
+}
+
+TEST(Certify, EmptySweepIsMarkedNotExhaustive) {
+  const OwnedProblem ex = workload::paper_example1();
+  const Schedule schedule = schedule_solution1(ex.problem).value();
+  const ArchitectureGraph& arch = *schedule.problem().architecture;
+  CertifySpec spec;
+  spec.max_failures = 0;
+  spec.max_link_failures = 0;
+  spec.max_silences = 0;
+  const CertifyReport report = certify(schedule, spec);
+  // Zero resolved budgets certify exactly one branch: the fault-free run.
+  EXPECT_TRUE(report.certified);
+  EXPECT_EQ(report.branches, 1u);
+  EXPECT_NE(report.to_json(arch).find("\"sweep\": \"empty\""),
+            std::string::npos);
+
+  CertifySpec real;
+  real.max_failures = 1;
+  EXPECT_NE(certify(schedule, real).to_json(arch).find(
+                "\"sweep\": \"exhaustive\""),
+            std::string::npos);
+}
+
+TEST(Certify, CancelledShardEmitsATaskOrderPrefix) {
+  // A deadline firing mid-sweep: certify_shard polls the hook between task
+  // slices, abandons the rest and returns false, and what it emitted up to
+  // then is a prefix of the task order, at any thread count.
+  const OwnedProblem ex = workload::paper_example1();
+  const Schedule schedule = schedule_base(ex.problem).value();
+  CertifySpec spec;
+  spec.max_failures = 1;
+  spec.max_silences = 1;  // first faults leave budget: the tasks are sliced
+  const std::size_t tasks = certify_sweep(schedule, spec).tasks;
+  for (const unsigned threads : {1u, 4u}) {
+    spec.threads = threads;
+    std::atomic<int> polls{0};
+    std::vector<std::size_t> emitted;
+    const bool completed = certify_shard(
+        schedule, spec, CertifyShardSpec{},
+        [&](CertifyTaskPartial&& partial) {
+          emitted.push_back(partial.task_index);
+        },
+        [&] { return ++polls > 20; });
+    EXPECT_FALSE(completed) << threads << " threads";
+    EXPECT_LT(emitted.size(), tasks) << threads << " threads";
+    for (std::size_t i = 0; i < emitted.size(); ++i) {
+      EXPECT_EQ(emitted[i], i) << threads << " threads";
+    }
   }
 }
 

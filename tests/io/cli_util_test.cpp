@@ -66,6 +66,17 @@ TEST(CliUtil, ParseTimeRequiresAFinitePositiveValue) {
   EXPECT_EQ(parse_time("1e999", out), ParseStatus::kOutOfRange);
 }
 
+TEST(CliUtil, ParseNonnegativeAcceptsZeroAndRejectsOverflow) {
+  double out = -1;
+  EXPECT_EQ(parse_nonnegative("0", out), ParseStatus::kOk);
+  EXPECT_EQ(out, 0.0);
+  EXPECT_EQ(parse_nonnegative("2.5", out), ParseStatus::kOk);
+  EXPECT_EQ(out, 2.5);
+  EXPECT_EQ(parse_nonnegative("-0.5", out), ParseStatus::kMalformed);
+  EXPECT_EQ(parse_nonnegative("2.5x", out), ParseStatus::kMalformed);
+  EXPECT_EQ(parse_nonnegative("1e999", out), ParseStatus::kOutOfRange);
+}
+
 TEST(CliUtil, ParseShardValidatesTheAssignment) {
   std::size_t index = 99, count = 99;
   EXPECT_EQ(parse_shard("0/1", index, count), ParseStatus::kOk);

@@ -294,5 +294,58 @@ TEST(StreamMerge, BoundedCounterexampleDetail) {
   EXPECT_GT(merged.value().total_counterexamples, 2u);
 }
 
+// The non-FT baseline against two silent windows and a response bound of
+// 5, detail cap 3. The dead-at-start leaf supplies the first
+// counterexample; the rest come from P1's silence subtree, which keeps
+// fewer window openings than it has slices, so its first slices are empty
+// and the cap fills inside a later one: the slice fold must concatenate in
+// slice order and stop at the cap exactly where the unsliced exploration
+// did. The bytes were captured from the certifier before its tasks were
+// sliced.
+constexpr const char* kCapPastFirstSlice = R"({
+  "certified": false,
+  "sweep": "exhaustive",
+  "max_failures": 0,
+  "max_link_failures": 0,
+  "max_silences": 2,
+  "processors": 3,
+  "links": 1,
+  "subsets": 1,
+  "link_subsets": 1,
+  "branches": 1954,
+  "forks": 3957,
+  "instants_kept": 1953,
+  "instants_merged": 4989,
+  "worst_response": 37.5,
+  "response_bound": 5,
+  "total_counterexamples": 1233,
+  "counterexamples": [
+    {"dead_at_start": [], "dead_links_at_start": [], "crashes": [], "link_crashes": [], "silences": [], "outputs_lost": false, "response": 8.8},
+    {"dead_at_start": [], "dead_links_at_start": [], "crashes": [], "link_crashes": [], "silences": [{"processor": "P1", "from": 0, "to": 3.25}], "outputs_lost": false, "response": 9.05},
+    {"dead_at_start": [], "dead_links_at_start": [], "crashes": [], "link_crashes": [], "silences": [{"processor": "P1", "from": 0, "to": 3.25}, {"processor": "P1", "from": 0.5, "to": 3.5}], "outputs_lost": false, "response": 9.3}
+  ]
+}
+)";
+
+TEST(StreamMerge, CapFillingPastTheFirstSliceKeepsPinnedBytes) {
+  Fixture fixture = Fixture::refuted();
+  fixture.spec.max_failures = 0;
+  fixture.spec.max_silences = 2;
+  fixture.spec.response_bound = 5;
+  fixture.spec.max_counterexamples = 3;
+  const ArchitectureGraph& arch = *fixture.owned->problem.architecture;
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    fixture.spec.threads = threads;
+    EXPECT_EQ(campaign::certify(fixture.schedule, fixture.spec).to_json(arch),
+              kCapPastFirstSlice)
+        << threads << " threads";
+  }
+  fixture.spec.threads = 2;
+  const auto merged = merge_streams(fixture.schedule, fixture.spec,
+                                    fixture.shard_streams(4));
+  ASSERT_TRUE(merged.has_value()) << merged.error().message;
+  EXPECT_EQ(merged.value().to_json(arch), kCapPastFirstSlice);
+}
+
 }  // namespace
 }  // namespace ftsched::service

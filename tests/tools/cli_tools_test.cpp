@@ -1,0 +1,89 @@
+// The numeric operands and output files of trace_tool and
+// tradeoff_explorer go through io/cli_util: an operand that overflows is
+// refused with a diagnostic instead of saturating, and an output file that
+// cannot take the bytes is reported instead of claimed written.
+#include <gtest/gtest.h>
+
+#include <sys/wait.h>
+
+#include <array>
+#include <cstdio>
+#include <fstream>
+#include <string>
+
+namespace {
+
+struct Outcome {
+  int status = -1;
+  std::string output;  // stdout and stderr
+};
+
+Outcome run(const std::string& command) {
+  Outcome out;
+  FILE* pipe = popen((command + " 2>&1").c_str(), "r");
+  if (pipe == nullptr) return out;
+  std::array<char, 4096> buffer{};
+  std::size_t n = 0;
+  while ((n = std::fread(buffer.data(), 1, buffer.size(), pipe)) > 0) {
+    out.output.append(buffer.data(), n);
+  }
+  const int raw = pclose(pipe);
+  out.status = WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
+  return out;
+}
+
+bool has(const Outcome& outcome, const std::string& text) {
+  return outcome.output.find(text) != std::string::npos;
+}
+
+TEST(TraceTool, OutOfRangeSeedIsRefused) {
+  const Outcome out = run(std::string(FTSCHED_TRACE_TOOL) +
+                          " profile --example1 --scenarios 10"
+                          " --seed 99999999999999999999");
+  EXPECT_EQ(out.status, 2);
+  EXPECT_TRUE(has(out, "--seed operand \"99999999999999999999\" is out of "
+                       "range"))
+      << out.output;
+}
+
+TEST(TraceTool, OutOfRangeFailTimeIsRefused) {
+  const Outcome out = run(std::string(FTSCHED_TRACE_TOOL) +
+                          " sim --example1 --fail P1@1e999");
+  EXPECT_EQ(out.status, 2);
+  EXPECT_TRUE(has(out, "--fail operand \"P1@1e999\" is out of range"))
+      << out.output;
+}
+
+TEST(TraceTool, WriteToFullDeviceReportsCannotWrite) {
+  std::ifstream probe("/dev/full");
+  if (!probe.good()) GTEST_SKIP() << "/dev/full not available";
+  const Outcome out = run(std::string(FTSCHED_TRACE_TOOL) +
+                          " gantt --example1 -o /dev/full");
+  EXPECT_EQ(out.status, 2);
+  EXPECT_TRUE(has(out, "cannot write /dev/full")) << out.output;
+  EXPECT_FALSE(has(out, "wrote /dev/full")) << out.output;
+}
+
+TEST(TradeoffExplorer, OutOfRangeOperandIsRefused) {
+  const Outcome out = run(std::string(FTSCHED_TRADEOFF_EXPLORER) +
+                          " 20 4 1 0.5 bus 99999999999999999999");
+  EXPECT_EQ(out.status, 2);
+  EXPECT_TRUE(has(out, "seed operand \"99999999999999999999\" is out of "
+                       "range"))
+      << out.output;
+}
+
+TEST(TradeoffExplorer, MalformedOperandIsRefused) {
+  const Outcome out = run(std::string(FTSCHED_TRADEOFF_EXPLORER) + " 20 4x");
+  EXPECT_EQ(out.status, 2);
+  EXPECT_TRUE(has(out, "procs operand \"4x\" is malformed")) << out.output;
+}
+
+TEST(TradeoffExplorer, DefaultsStillRun) {
+  const Outcome out = run(std::string(FTSCHED_TRADEOFF_EXPLORER) + " 12 3");
+  EXPECT_EQ(out.status, 0) << out.output;
+  EXPECT_TRUE(has(out, "3 processors, K=1, ccr=0.50"))
+      << out.output;
+}
+
+}  // namespace
