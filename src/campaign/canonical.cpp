@@ -192,13 +192,7 @@ std::string canonical_fingerprint(const MissionPlan& plan) {
 }
 
 std::uint64_t plan_key(const MissionPlan& plan) {
-  const std::string bytes = canonical_fingerprint(plan);
-  std::uint64_t hash = 1469598103934665603ULL;  // FNV-1a offset basis
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;  // FNV-1a prime
-  }
-  return hash;
+  return fingerprint_hash(canonical_fingerprint(plan));
 }
 
 }  // namespace ftsched::campaign

@@ -34,7 +34,9 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
+#include "core/hash.hpp"
 #include "sim/mission.hpp"
 
 namespace ftsched::campaign {
@@ -62,8 +64,15 @@ struct CanonicalScratch {
 void canonical_fingerprint_into(const MissionPlan& plan,
                                 CanonicalScratch& scratch, std::string& out);
 
-/// FNV-1a 64-bit hash of canonical_fingerprint(plan), for callers that
-/// want a compact key and can tolerate (negligible) collisions.
+/// FNV-1a 64-bit hash of a canonical fingerprint, for callers that
+/// already built the fingerprint and want a compact key.
+[[nodiscard]] inline std::uint64_t fingerprint_hash(
+    std::string_view fingerprint) noexcept {
+  return fnv1a(fingerprint, kFnv1aShortBasis);
+}
+
+/// fingerprint_hash(canonical_fingerprint(plan)), for callers that want a
+/// compact key and can tolerate (negligible) collisions.
 [[nodiscard]] std::uint64_t plan_key(const MissionPlan& plan);
 
 }  // namespace ftsched::campaign

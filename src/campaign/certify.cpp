@@ -17,6 +17,69 @@
 
 namespace ftsched::campaign {
 
+std::uint64_t CertifyCache::mix(const Key& key) noexcept {
+  std::uint64_t x = key.pattern_key + 0x9e3779b97f4a7c15ULL +
+                    (key.schedule_key << 6) + (key.schedule_key >> 2);
+  x ^= key.schedule_key;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 33;
+  return x;
+}
+
+std::optional<CertifyCache::Entry> CertifyCache::lookup(
+    std::uint64_t schedule_key, std::uint64_t pattern_key) const {
+  const Key key{schedule_key, pattern_key};
+  const std::uint64_t hash = mix(key);
+  const Shard& shard = shards_[shard_index(hash)];
+  const std::uint64_t want = mark(hash);
+  for (std::size_t probe = 0; probe < kProbeWindow; ++probe) {
+    const Slot& slot = shard.slots[(hash + probe) & kSlotMask];
+    const std::uint64_t tag = slot.tag.load(std::memory_order_acquire);
+    if (tag == kEmpty) {
+      // Published slots never empty out, so an insert of this key would
+      // have claimed this or an earlier slot — and it only overflows when
+      // the whole window is full, which this empty slot refutes.
+      return std::nullopt;
+    }
+    if (tag == want && slot.key == key) return slot.entry;
+  }
+  const std::lock_guard<std::mutex> lock(shard.mutex);
+  const auto it = shard.overflow.find(key);
+  if (it == shard.overflow.end()) return std::nullopt;
+  return it->second;
+}
+
+void CertifyCache::insert(std::uint64_t schedule_key,
+                          std::uint64_t pattern_key, const Entry& entry) {
+  const Key key{schedule_key, pattern_key};
+  const std::uint64_t hash = mix(key);
+  Shard& shard = shards_[shard_index(hash)];
+  const std::uint64_t want = mark(hash);
+  for (std::size_t probe = 0; probe < kProbeWindow; ++probe) {
+    Slot& slot = shard.slots[(hash + probe) & kSlotMask];
+    std::uint64_t tag = slot.tag.load(std::memory_order_acquire);
+    if (tag == want && slot.key == key) {
+      return;  // first insert wins, like unordered_map::emplace
+    }
+    if (tag != kEmpty) continue;
+    if (!slot.tag.compare_exchange_strong(tag, kBusy,
+                                          std::memory_order_acq_rel)) {
+      if (tag == want && slot.key == key) return;
+      continue;  // lost the claim to a different key; keep probing
+    }
+    slot.key = key;
+    slot.entry = entry;
+    slot.tag.store(want, std::memory_order_release);
+    count_.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  // Window full: never drop — spill to the shard's overflow map.
+  const std::lock_guard<std::mutex> lock(shard.mutex);
+  if (shard.overflow.emplace(key, entry).second) {
+    count_.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
 namespace {
 
 /// Static watch-chain deadlines: instants a continuously shifting arrival

@@ -95,81 +95,51 @@
 
 namespace ftsched::campaign {
 
-/// Sharded concurrent map with atomically published, never-overwritten
-/// slots — the tag-publish design the campaign's ReplayCache introduced,
-/// generalized over the stored value. Keys are two caller-mixed 64-bit
-/// words. The key hash picks one of kShards independent shards, each a
-/// fixed open-addressing table of atomically published slots (tag CAS to
-/// claim, release-store to publish) plus a mutex-guarded overflow map. The
-/// fast path — the common case when the table is sized for the workload —
-/// takes no lock in either direction. An insert is NEVER dropped: a full
-/// probe window falls back to the overflow map, because a silently dropped
-/// entry would make reuse counters depend on probe-window luck instead of
-/// being a pure function of the lookup/insert sequence. First insert of a
-/// key wins (like unordered_map::emplace); thread-safe for concurrent
-/// lookups and inserts.
-template <typename Value>
-class TagPublishCache {
+/// The cached outcome of one budget-exhausted leaf simulation: everything
+/// record_leaf needs to reproduce the leaf's verdict without re-running it.
+struct CertifyLeafOutcome {
+  bool outputs_lost = false;
+  Time response_time = kInfinite;
+  /// IterationResult::silence_deferral of the leaf run — the tight
+  /// response allowance its silent windows earned. Cached alongside the
+  /// response so a cache-served leaf judges lateness exactly like the
+  /// simulated one.
+  Time silence_deferral = 0;
+};
+
+/// Leaf cache for incremental re-certification: the outcome of every
+/// budget-exhausted leaf, keyed by the pair (schedule_hash, plan_key of the
+/// leaf's canonical fault pattern). The repair loop re-certifies a schedule
+/// after each move; leaves whose fault pattern was already simulated
+/// against the SAME schedule bytes are served from here without forking or
+/// finishing a simulator branch (interior nodes are always re-simulated —
+/// their traces seed the child instants). Reuse counts are thread-count
+/// deterministic because the canonical enumeration visits each unordered
+/// fault set exactly once per sweep, so a lookup can never race a
+/// same-sweep insertion of its own key.
+///
+/// Layout: the key hash picks one of kShards independent shards, each a
+/// fixed open-addressing table of atomically published, never-overwritten
+/// slots (tag CAS to claim, release-store to publish) plus a mutex-guarded
+/// overflow map. The fast path — the common case when the table is sized
+/// for the workload — takes no lock in either direction. An insert is
+/// NEVER dropped: a full probe window falls back to the overflow map,
+/// because a silently dropped entry would make reuse counters depend on
+/// probe-window luck instead of being a pure function of the lookup/insert
+/// sequence. First insert of a key wins (like unordered_map::emplace);
+/// thread-safe for concurrent lookups and inserts.
+class CertifyCache {
  public:
-  TagPublishCache() = default;
-  TagPublishCache(const TagPublishCache&) = delete;
-  TagPublishCache& operator=(const TagPublishCache&) = delete;
+  using Entry = CertifyLeafOutcome;
 
-  [[nodiscard]] std::optional<Value> lookup(std::uint64_t key1,
-                                            std::uint64_t key2) const {
-    const std::uint64_t hash = mix(key1, key2);
-    const Shard& shard = shards_[shard_index(hash)];
-    const std::uint64_t want = mark(hash);
-    for (std::size_t probe = 0; probe < kProbeWindow; ++probe) {
-      const Slot& slot = shard.slots[(hash + probe) & kSlotMask];
-      const std::uint64_t tag = slot.tag.load(std::memory_order_acquire);
-      if (tag == kEmpty) {
-        // Published slots never empty out, so an insert of this key would
-        // have claimed this or an earlier slot — and it only overflows
-        // when the whole window is full, which this empty slot refutes.
-        return std::nullopt;
-      }
-      if (tag == want && slot.key1 == key1 && slot.key2 == key2) {
-        return slot.value;
-      }
-    }
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.overflow.find(Key{key1, key2});
-    if (it == shard.overflow.end()) return std::nullopt;
-    return it->second;
-  }
+  CertifyCache() = default;
+  CertifyCache(const CertifyCache&) = delete;
+  CertifyCache& operator=(const CertifyCache&) = delete;
 
-  void insert(std::uint64_t key1, std::uint64_t key2, const Value& value) {
-    const std::uint64_t hash = mix(key1, key2);
-    Shard& shard = shards_[shard_index(hash)];
-    const std::uint64_t want = mark(hash);
-    for (std::size_t probe = 0; probe < kProbeWindow; ++probe) {
-      Slot& slot = shard.slots[(hash + probe) & kSlotMask];
-      std::uint64_t tag = slot.tag.load(std::memory_order_acquire);
-      if (tag == want && slot.key1 == key1 && slot.key2 == key2) {
-        return;  // first insert wins, like unordered_map::emplace
-      }
-      if (tag != kEmpty) continue;
-      if (!slot.tag.compare_exchange_strong(tag, kBusy,
-                                            std::memory_order_acq_rel)) {
-        if (tag == want && slot.key1 == key1 && slot.key2 == key2) {
-          return;
-        }
-        continue;  // lost the claim to a different key; keep probing
-      }
-      slot.key1 = key1;
-      slot.key2 = key2;
-      slot.value = value;
-      slot.tag.store(want, std::memory_order_release);
-      count_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    // Window full: never drop — spill to the shard's overflow map.
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    if (shard.overflow.emplace(Key{key1, key2}, value).second) {
-      count_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
+  [[nodiscard]] std::optional<Entry> lookup(std::uint64_t schedule_key,
+                                            std::uint64_t pattern_key) const;
+  void insert(std::uint64_t schedule_key, std::uint64_t pattern_key,
+              const Entry& entry);
 
   /// Number of distinct keys ever inserted.
   [[nodiscard]] std::size_t size() const {
@@ -185,25 +155,17 @@ class TagPublishCache {
   static constexpr std::uint64_t kBusy = 1;
 
   struct Key {
-    std::uint64_t key1 = 0;
-    std::uint64_t key2 = 0;
+    std::uint64_t schedule_key = 0;
+    std::uint64_t pattern_key = 0;
     friend bool operator==(const Key&, const Key&) = default;
   };
   struct KeyHash {
     std::size_t operator()(const Key& key) const noexcept {
-      return static_cast<std::size_t>(mix(key.key1, key.key2));
+      return static_cast<std::size_t>(mix(key));
     }
   };
 
-  [[nodiscard]] static std::uint64_t mix(std::uint64_t key1,
-                                         std::uint64_t key2) noexcept {
-    std::uint64_t x = key2 + 0x9e3779b97f4a7c15ULL + (key1 << 6) +
-                      (key1 >> 2);
-    x ^= key1;
-    x *= 0xff51afd7ed558ccdULL;
-    x ^= x >> 33;
-    return x;
-  }
+  [[nodiscard]] static std::uint64_t mix(const Key& key) noexcept;
   /// The slot's published tag for a key hash: never kEmpty/kBusy.
   [[nodiscard]] static std::uint64_t mark(std::uint64_t hash) noexcept {
     return hash | 2;
@@ -214,46 +176,18 @@ class TagPublishCache {
 
   struct Slot {
     std::atomic<std::uint64_t> tag{kEmpty};
-    std::uint64_t key1 = 0;
-    std::uint64_t key2 = 0;
-    Value value;
+    Key key;
+    Entry entry;
   };
 
   struct Shard {
     std::vector<Slot> slots{kSlotsPerShard};
     mutable std::mutex mutex;
-    std::unordered_map<Key, Value, KeyHash> overflow;
+    std::unordered_map<Key, Entry, KeyHash> overflow;
   };
 
   std::array<Shard, kShards> shards_;
   std::atomic<std::size_t> count_{0};
-};
-
-/// The cached outcome of one budget-exhausted leaf simulation: everything
-/// record_leaf needs to reproduce the leaf's verdict without re-running it.
-struct CertifyLeafOutcome {
-  bool outputs_lost = false;
-  Time response_time = kInfinite;
-  /// IterationResult::silence_deferral of the leaf run — the tight
-  /// response allowance its silent windows earned. Cached alongside the
-  /// response so a cache-served leaf judges lateness exactly like the
-  /// simulated one.
-  Time silence_deferral = 0;
-};
-
-/// Replay cache for incremental re-certification: the outcome of every
-/// budget-exhausted leaf, keyed by (schedule_hash, plan_key of the leaf's
-/// canonical fault pattern). The repair loop re-certifies a schedule after
-/// each move; leaves whose fault pattern was already simulated against the
-/// SAME schedule bytes are served from here without forking or finishing a
-/// simulator branch (interior nodes are always re-simulated — their traces
-/// seed the child instants). Thread-safe; reuse counts are thread-count
-/// deterministic because the canonical enumeration visits each unordered
-/// fault set exactly once per sweep, so a lookup can never race a
-/// same-sweep insertion of its own key.
-class CertifyCache : public TagPublishCache<CertifyLeafOutcome> {
- public:
-  using Entry = CertifyLeafOutcome;
 };
 
 struct CertifySpec {

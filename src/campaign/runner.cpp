@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "campaign/canonical.hpp"
-#include "campaign/replay_cache.hpp"
 #include "campaign/work_pool.hpp"
 #include "core/text.hpp"
 #include "obs/span.hpp"
@@ -21,9 +20,10 @@ namespace ftsched::campaign {
 namespace {
 
 /// Exact string set specialized for canonical fingerprints: keys live in an
-/// append-only arena and the caller supplies the FNV-1a hash it already
-/// computed for the replay cache, so an insert costs one open-addressing
-/// probe plus an arena append — no per-key node allocation, no re-hash.
+/// append-only arena and the caller supplies the FNV-1a hash, which the
+/// merge reuses when it unions the chunks' sets, so an insert costs one
+/// open-addressing probe plus an arena append — no per-key node
+/// allocation, no re-hash.
 /// Equality still compares full key bytes, so the unique count is exact.
 class FingerprintSet {
  public:
@@ -370,12 +370,6 @@ CampaignReport run_campaign(const Schedule& schedule,
   const std::size_t chunks = (options.scenarios + chunk - 1) / chunk;
   std::vector<Partial> partials(chunks);
 
-  // Cross-chunk replay cache: a MissionResult is a pure function of the
-  // plan's canonical fault pattern, so any chunk (any thread) can reuse a
-  // pattern another chunk already simulated — a hit produces the exact
-  // result a fresh simulation would, leaving every reported field
-  // untouched. Best-effort by design (replay_cache.hpp).
-  ReplayCache cache(options.scenarios);
   ScratchPool scratch_pool;
 
   auto evaluate = [&](std::size_t begin, std::size_t end, Partial& into) {
@@ -397,22 +391,14 @@ CampaignReport run_campaign(const Schedule& schedule,
       count_coverage(scenario, generator.horizon(), partial.coverage);
       canonical_fingerprint_into(scenario.plan, canon_scratch, key);
       const std::uint64_t hash = fingerprint_hash(key);
-      // cached_replays counts within-chunk duplicate draws — the fixed
-      // partition makes the count thread-count independent, unlike the
-      // shared cache's hit count (which depends on cross-chunk timing and
-      // is therefore deliberately not a report field).
+      // cached_replays counts within-chunk duplicate draws; the fixed
+      // partition makes the count thread-count independent.
       if (!partial.fingerprints.insert(hash, key)) {
         partial.cached_replays += 1;
         tally.cached_replays += 1;
       }
-      const MissionResult* shared = cache.find(hash, key);
-      std::shared_ptr<const MissionResult> fresh;
-      if (shared == nullptr) {
-        fresh = std::make_shared<MissionResult>(
-            run_mission(simulator, scenario.plan, mission_scratch));
-        cache.insert(hash, key, fresh);
-      }
-      const MissionResult& result = shared != nullptr ? *shared : *fresh;
+      const MissionResult result =
+          run_mission(simulator, scenario.plan, mission_scratch);
       const Verdict verdict = oracle.judge(scenario.plan, result);
       count_metrics(scenario, result, verdict, oracle.response_bound(),
                     tally);
@@ -435,21 +421,15 @@ CampaignReport run_campaign(const Schedule& schedule,
     into = std::move(partial);
   };
 
-  if (threads == 1) {
-    for (std::size_t c = 0; c < chunks; ++c) {
+  // A one-thread pool runs the chunks on this thread inside wait().
+  WorkPool pool(threads);
+  for (std::size_t c = 0; c < chunks; ++c) {
+    pool.submit([&, c] {
       evaluate(c * chunk, std::min(options.scenarios, (c + 1) * chunk),
                partials[c]);
-    }
-  } else {
-    WorkPool pool(threads);
-    for (std::size_t c = 0; c < chunks; ++c) {
-      pool.submit([&, c] {
-        evaluate(c * chunk, std::min(options.scenarios, (c + 1) * chunk),
-                 partials[c]);
-      });
-    }
-    pool.wait();
+    });
   }
+  pool.wait();
 
   // Merge in index order: identical report for any thread count.
   FTSCHED_SPAN("campaign.merge");

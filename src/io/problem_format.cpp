@@ -285,7 +285,9 @@ class Parser {
       return std::nullopt;
     }
     if (t[0] == "deadline" && t.size() == 2) {
-      if (!parse_time(t[1], deadline_)) {
+      // inf (no deadline) or a positive finite time; from_chars would also
+      // take nan, which disables the deadline check, and negative values.
+      if (!parse_time(t[1], deadline_) || !(deadline_ > 0)) {
         return parse_error(line, "bad deadline: " + t[1]);
       }
       return std::nullopt;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 
+#include "core/hash.hpp"
+
 namespace ftsched {
 
 std::string to_string(HeuristicKind kind) {
@@ -185,15 +187,11 @@ std::size_t Schedule::active_comm_count() const {
 
 namespace {
 
-struct Fnv1a {
-  std::uint64_t state = 14695981039346656037ull;
+/// schedule_hash's field mixer: every field as one little-endian u64.
+struct ScheduleHasher {
+  Fnv1a fnv;
 
-  void mix(std::uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
-      state ^= (v >> (byte * 8)) & 0xff;
-      state *= 1099511628211ull;
-    }
-  }
+  void mix(std::uint64_t v) { fnv.u64(v); }
   void mix_time(Time t) { mix(std::bit_cast<std::uint64_t>(t)); }
   template <class Tag>
   void mix_id(Id<Tag> id) {
@@ -205,7 +203,7 @@ struct Fnv1a {
 }  // namespace
 
 std::uint64_t schedule_hash(const Schedule& schedule) {
-  Fnv1a h;
+  ScheduleHasher h;
   h.mix(static_cast<std::uint64_t>(schedule.kind()));
   h.mix(static_cast<std::uint64_t>(schedule.failures_tolerated()));
   for (const Dependency& dep : schedule.problem().algorithm->dependencies()) {
@@ -236,7 +234,7 @@ std::uint64_t schedule_hash(const Schedule& schedule) {
     h.mix(comm.active ? 1 : 0);
     h.mix(comm.liveness ? 1 : 0);
   }
-  return h.state;
+  return h.fnv.value();
 }
 
 }  // namespace ftsched

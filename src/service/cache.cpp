@@ -3,37 +3,35 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <string_view>
+
+#include "core/hash.hpp"
 
 namespace ftsched::service {
 
 namespace {
 
 // FNV-1a over the constraint list's identity (names, endpoints, %.17g
-// bounds, and a separator so field concatenations can't collide across
-// boundaries). Only mixed into the plan key when constraints exist, so
-// every scalar-bound key is byte-identical to the pre-constraint format
-// and cached scalar results survive the upgrade.
+// bounds, each field followed by a 0x1f separator so field concatenations
+// can't collide across boundaries). Only mixed into the plan key when
+// constraints exist, so every scalar-bound key is byte-identical to the
+// pre-constraint format and cached scalar results survive the upgrade.
 std::uint64_t constraints_hash(
     const std::vector<campaign::LatencyConstraint>& constraints) {
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&](const char* data, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= static_cast<unsigned char>(data[i]);
-      h *= 1099511628211ull;
-    }
-    h ^= 0x1f;
-    h *= 1099511628211ull;
+  Fnv1a hash(kFnv1aShortBasis);
+  auto field = [&](std::string_view bytes) {
+    hash.bytes(bytes);
+    hash.byte(0x1f);
   };
   for (const campaign::LatencyConstraint& c : constraints) {
-    mix(c.name.data(), c.name.size());
-    mix(c.source_op.data(), c.source_op.size());
-    mix(c.sink_op.data(), c.sink_op.size());
+    field(c.name);
+    field(c.source_op);
+    field(c.sink_op);
     char bound[40];
     std::snprintf(bound, sizeof bound, "%.17g", c.bound);
-    mix(bound, std::strlen(bound));
+    field(bound);
   }
-  return h;
+  return hash.value();
 }
 
 }  // namespace

@@ -36,7 +36,7 @@ MissionResult run_mission(const Simulator& simulator, const MissionPlan& plan,
   // The initial knowledge is a set; normalize its presentation (sorted,
   // duplicate-free, suspicion subsumed by known death) so the iteration
   // summaries depend on the fault pattern, not on input ordering — the
-  // invariant the campaign's canonical-fingerprint replay cache relies on.
+  // invariant the campaign's canonical-fingerprint dedup counts rely on.
   auto as_set = [](std::vector<ProcessorId>& procs) {
     std::sort(procs.begin(), procs.end());
     procs.erase(std::unique(procs.begin(), procs.end()), procs.end());

@@ -84,7 +84,7 @@ TEST(CampaignRunner, ReportIndependentOfThreadCount) {
               serial.coverage.crash_time_buckets);
     EXPECT_EQ(parallel.coverage.crash_events, serial.coverage.crash_events);
     // Dedup accounting is part of the determinism contract too: the
-    // fingerprint union and the chunk-local replay cache depend on the
+    // fingerprint union and the chunk-local duplicate count depend on the
     // fixed partition, never on which thread ran a chunk.
     EXPECT_EQ(parallel.unique_scenarios, serial.unique_scenarios);
     EXPECT_EQ(parallel.duplicate_scenarios, serial.duplicate_scenarios);
@@ -97,10 +97,11 @@ TEST(CampaignRunner, ReportIndependentOfThreadCount) {
             serial.scenarios_run);
 }
 
-TEST(CampaignRunner, ReplayCacheSkipsDuplicateScenarios) {
+TEST(CampaignRunner, DuplicateDrawsAreCountedWithVerdictsUnchanged) {
   // Dead-at-start-only scenarios collide heavily on a 3-processor
-  // architecture: the canonical-fingerprint cache must collapse them
-  // without changing any verdict.
+  // architecture: the repeats must be counted as duplicate draws, every
+  // draw must still be judged, and the report must not depend on the
+  // thread count.
   const workload::OwnedProblem ex = workload::paper_example1();
   const Schedule schedule = schedule_solution1(ex.problem).value();
   CampaignOptions options;
@@ -111,8 +112,22 @@ TEST(CampaignRunner, ReplayCacheSkipsDuplicateScenarios) {
   options.spec.dead_at_start_probability = 1.0;  // dead-at-start only
   const CampaignReport report = run_campaign(schedule, options);
   EXPECT_LT(report.unique_scenarios, report.scenarios_run);
+  EXPECT_EQ(report.unique_scenarios + report.duplicate_scenarios,
+            report.scenarios_run);
   EXPECT_GT(report.cached_replays, 0u);
+  EXPECT_LE(report.cached_replays, report.duplicate_scenarios);
   EXPECT_EQ(report.total_violations, 0u);
+
+  // The whole report but its wall-clock "rate:" line.
+  auto timeless_text = [&](const CampaignReport& r) {
+    std::string text = r.to_text(*ex.problem.architecture);
+    const std::size_t rate = text.find("rate:");
+    return text.erase(rate, text.find('\n', rate) + 1 - rate);
+  };
+  options.threads = 8;
+  const CampaignReport parallel = run_campaign(schedule, options);
+  EXPECT_EQ(timeless_text(parallel), timeless_text(report));
+  EXPECT_EQ(parallel.metrics.to_json(), report.metrics.to_json());
 }
 
 TEST(CampaignRunner, UnderReplicatedClaimIsCaught) {
@@ -207,9 +222,8 @@ TEST(CampaignRunner, GoldenArtifactsByteIdenticalAcrossThreadCounts) {
   // equality but byte identity of every serialized artifact the engines
   // emit — the campaign metrics JSON and the certification certificate —
   // across 1, 2, and 8 worker threads (8 oversubscribes most CI runners,
-  // exercising arbitrary chunk interleavings). The batched executor, the
-  // per-worker scratch arenas, and the sharded replay cache must all be
-  // invisible in the output bytes.
+  // exercising arbitrary chunk interleavings). The batched executor and
+  // the per-worker scratch arenas must be invisible in the output bytes.
   const workload::OwnedProblem ex = workload::paper_example1();
   const Schedule schedule = schedule_solution1(ex.problem).value();
   CampaignOptions options = rich_options(500, 42);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -101,6 +102,30 @@ TEST(ProblemFormat, RoundTripPreservesDeadline) {
   const auto reparsed = io::read_problem(io::write_problem(ex.problem));
   ASSERT_TRUE(reparsed.has_value());
   EXPECT_DOUBLE_EQ(reparsed->problem.deadline, 12.5);
+}
+
+TEST(ProblemFormat, DeadlineMustBeInfOrPositiveFinite) {
+  workload::OwnedProblem ex = workload::paper_example1();
+  ex.problem.deadline = 12.5;
+  const std::string text = io::write_problem(ex.problem);
+  const std::string written = "deadline 12.5";
+  const std::size_t at = text.find(written);
+  ASSERT_NE(at, std::string::npos);
+  const auto with_deadline = [&](const std::string& value) {
+    return io::read_problem(text.substr(0, at) + "deadline " + value +
+                            text.substr(at + written.size()));
+  };
+  const std::string line =
+      "line " + std::to_string(1 + std::count(text.begin(),
+                                              text.begin() + at, '\n'));
+  for (const std::string bad : {"nan", "-nan", "-5", "0", "-0", "-inf"}) {
+    const auto parsed = with_deadline(bad);
+    ASSERT_FALSE(parsed.has_value()) << bad;
+    EXPECT_EQ(parsed.error().message, line + ": bad deadline: " + bad);
+  }
+  for (const std::string good : {"inf", "0.5", "1e3"}) {
+    EXPECT_TRUE(with_deadline(good).has_value()) << good;
+  }
 }
 
 TEST(ProblemFormat, ReportsErrorsWithLineNumbers) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "../obs/json_check.hpp"
+#include "io/problem_format.hpp"
 #include "sched/heuristics.hpp"
 #include "workload/paper_examples.hpp"
 
@@ -24,6 +26,24 @@ TEST(ScheduleExport, JsonContainsEveryPlacement) {
             std::count(json.begin(), json.end(), '}'));
   EXPECT_EQ(std::count(json.begin(), json.end(), '['),
             std::count(json.begin(), json.end(), ']'));
+}
+
+TEST(ScheduleExport, JsonStaysValidForControlCharactersInNames) {
+  // Operation B and the link are named with raw control bytes.
+  const auto parsed = io::read_problem(
+      "algorithm\n  operation I extio-in\n  operation B\x01x\n"
+      "  operation O extio-out\n  dependency I B\x01x\n"
+      "  dependency B\x01x O\n"
+      "architecture\n  processor P1\n  processor P2\n"
+      "  link l\x1f" "k P1 P2\n"
+      "exec\n  I * 1\n  B\x01x * 2\n  O * 1\n"
+      "comm\n  I->B\x01x * 1\n  B\x01x->O * 1\n"
+      "problem\n  tolerate 1\n");
+  ASSERT_TRUE(parsed.has_value()) << parsed.error().message;
+  const Schedule schedule = schedule_solution1(parsed->problem).value();
+  const std::string json = io::to_json(schedule);
+  EXPECT_NE(json.find("B\\u0001x"), std::string::npos);
+  EXPECT_TRUE(testing::valid_json(json)) << json;
 }
 
 TEST(ScheduleExport, CsvRowsMatchScheduleContents) {
