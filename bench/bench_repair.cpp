@@ -1,4 +1,4 @@
-// Counterexample-guided repair throughput: wall time and replay-cache
+// Counterexample-guided repair throughput: wall time and leaf-cache
 // leverage of the full refute → repair → re-certify loop on the committed
 // refuted workload (the K=2 bus problem judged under K=1 + one link
 // death). Reports rounds, moves, branches certified, and the confirmation

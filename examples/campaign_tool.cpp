@@ -50,7 +50,7 @@
 // --repair runs the counterexample-guided repair loop (campaign/repair.hpp)
 // instead of certifying once: refute, shrink, localize the root blocker,
 // apply one targeted scheduling-constraint move, re-certify incrementally
-// through the replay cache — until the schedule certifies or the move/round
+// through the leaf cache — until the schedule certifies or the move/round
 // budget runs out. The JSON repair log (--repair-out) records every move
 // and its re-certification verdict and is byte-identical for any --threads.
 //
@@ -141,7 +141,7 @@ int usage() {
       "counterexample-guided repair under the same budgets: each round\n"
       "shrinks a counterexample, applies one targeted move (re-place a\n"
       "replica, re-route a send, widen a timeout chain) and re-certifies\n"
-      "incrementally through a replay cache. --repair-rounds caps the\n"
+      "incrementally through a leaf cache. --repair-rounds caps the\n"
       "accepted moves; --repair-out writes the JSON repair log\n"
       "(byte-identical for any --threads).\n"
       "--plan-key prints the canonical plan fingerprint for the certify\n"

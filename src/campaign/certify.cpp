@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <memory>
+#include <utility>
 
 #include "arch/architecture_graph.hpp"
 #include "campaign/canonical.hpp"
@@ -139,6 +141,44 @@ struct Slice {
   std::size_t count = 1;
 };
 
+/// A victim's kept first-fault instants under one node (see
+/// Explorer::explore_children).
+struct VictimPlan {
+  FaultKey key;
+  std::vector<Time> instants;
+  std::vector<Time> sends;  // silence victims only
+};
+
+/// Reused storage of one exploration depth: the node's branch (advanced
+/// as its children's cursor), the traced copy of it run to the end whose
+/// trace plans those children, that run's digest, and the planning
+/// buffers. A level is filled and planned, then walked while deeper levels
+/// are in use, so no two live nodes share a buffer.
+struct Level {
+  Simulator::Branch node;
+  Simulator::Branch run;
+  IterationSummary digest;
+  std::vector<Time> candidates;
+  std::vector<VictimPlan> victims;  // the first `planned` are live
+  std::size_t planned = 0;
+  std::vector<std::size_t> next;
+  std::vector<Time> tos;
+};
+
+/// Everything an Explorer reuses: one Level per interior depth, the leaf
+/// arena with its digest, and the victim-act scratch of the planning step.
+/// certify_shard recycles these across slices, so a sweep holds one per
+/// concurrently running slice and steady-state exploration allocates
+/// nothing per node.
+struct ExplorerScratch {
+  std::vector<Level> levels;
+  Simulator::Branch leaf;
+  IterationSummary leaf_summary;
+  std::vector<Time> acts;
+  std::vector<Interval> windows;
+  std::vector<std::pair<LinkId, Time>> open;
+};
+
 /// Depth-first exploration of one task's subtree; every instant the parent
 /// prefix is forked, never replayed.
 class Explorer {
@@ -146,19 +186,21 @@ class Explorer {
   Explorer(const Simulator& simulator, const CertifySpec& spec,
            const std::vector<Time>& deadlines, std::size_t procs,
            std::size_t links, std::uint64_t schedule_key,
-           const std::vector<LatencyProbe>& probes, CertifyTaskPartial& out)
+           const std::vector<LatencyProbe>& probes, ExplorerScratch& scratch,
+           CertifyTaskPartial& out)
       : sim_(simulator),
         spec_(spec),
         deadlines_(deadlines),
         procs_(procs),
         links_(links),
         beyond_tail_(simulator.schedule().makespan() + 1),
-        // The replay cache stores the scalar leaf verdict only, so it is
+        // The leaf cache stores the scalar leaf verdict only, so it is
         // gated off under chain constraints (see
         // CertifySpec::latency_constraints).
         cache_(probes.empty() ? spec.cache : nullptr),
         schedule_key_(schedule_key),
         probes_(probes),
+        x_(scratch),
         out_(out) {
     out_.worst_chain_latency.assign(probes_.size(), 0);
   }
@@ -179,36 +221,28 @@ class Explorer {
     scenario.failed_at_start = dead;
     scenario.failed_links_at_start = dead_links;
     if (!first.valid()) {
-      // The dead-at-start-only leaf: cacheable like any exhausted leaf —
-      // each (dead, dead_links) pair owns exactly one leaf-only task, so
-      // its key is unique within a sweep.
-      std::uint64_t key = 0;
-      if (cache_ != nullptr) {
-        key = pattern_key();
-        if (const auto hit = cache_->lookup(schedule_key_, key)) {
-          ++out_.leaves_reused;
-          record_leaf(hit->outputs_lost, hit->response_time,
-                      hit->silence_deferral, {});
-          return;
-        }
-      }
-      Simulator::Branch root = sim_.begin(scenario);
-      ++out_.forks;
-      const IterationResult root_leaf = sim_.finish(root.fork());
-      if (cache_ != nullptr) {
-        cache_->insert(schedule_key_, key,
-                       CertifyCache::Entry{!root_leaf.all_outputs_produced,
-                                           root_leaf.response_time,
-                                           root_leaf.silence_deferral});
-      }
-      certify_leaf(root_leaf);
+      // The dead-at-start-only leaf: a leaf like any exhausted one — each
+      // (dead, dead_links) pair owns exactly one leaf-only task, so its
+      // cache key is unique within a sweep — simulated from scratch into
+      // the leaf arena.
+      run_leaf([&] {
+        ++out_.forks;
+        sim_.run_summary(scenario, x_.leaf, x_.leaf_summary);
+      });
       return;
     }
+    // A node that has taken d faults is interior only while d is below the
+    // total budget, so depths 0 .. total-1 need a level.
+    const auto total = static_cast<std::size_t>(
+        budgets.crashes + budgets.links + budgets.silences);
+    if (x_.levels.size() < total) x_.levels.resize(total);
     // Every slice re-simulates the root leaf; slice 0 alone counts it.
-    Simulator::Branch root = sim_.begin(scenario);
+    Level& root = x_.levels[0];
+    sim_.begin(scenario, root.node);
     if (slice.index == 0) ++out_.forks;
-    const IterationResult root_leaf = sim_.finish(root.fork());
-    explore_children(root, root_leaf, budgets, 0, FaultKey{}, first, slice);
+    root.node.fork_into(root.run, /*with_trace=*/true);
+    sim_.finish_summary(root.run, root.digest);
+    explore_children(0, budgets, 0, FaultKey{}, first, slice);
   }
 
  private:
@@ -290,14 +324,15 @@ class Explorer {
     if (spec_.collect_branches) out_.collected.push_back(std::move(branch));
   }
 
-  void certify_leaf(const IterationResult& leaf) {
+  /// Records a simulated leaf run: an interior node's or the leaf arena's.
+  void certify_leaf(const IterationSummary& leaf) {
     out_.events_simulated += leaf.events_executed;
     record_leaf(!leaf.all_outputs_produced, leaf.response_time,
                 leaf.silence_deferral, leaf.op_completions);
   }
 
   /// plan_key of the CURRENT fault pattern (dead_/crashes_/... stacks) —
-  /// the replay-cache key half identifying what was injected; the other
+  /// the leaf-cache key half identifying what was injected; the other
   /// half is schedule_hash identifying what it was injected into.
   [[nodiscard]] std::uint64_t pattern_key() const {
     CertifyBranch branch;
@@ -309,62 +344,57 @@ class Explorer {
     return plan_key(counterexample_plan(branch));
   }
 
-  /// Serves a budget-exhausted child from the replay cache when possible.
-  /// A hit records the cached verdict (no fork, no simulation) and returns
-  /// true; a miss remembers the key for store_leaf and returns false, as
-  /// does any non-cacheable child (cache off, or budgets remaining — an
-  /// interior child's trace is needed to seed its own children, so it is
-  /// always simulated). The current fault pattern must already include the
-  /// child's fault.
-  bool serve_cached_leaf(const Budgets& rest) {
-    have_pending_key_ = false;
-    if (cache_ == nullptr || !rest.exhausted()) return false;
-    const std::uint64_t key = pattern_key();
-    if (const auto hit = cache_->lookup(schedule_key_, key)) {
-      ++out_.leaves_reused;
-      record_leaf(hit->outputs_lost, hit->response_time,
-                  hit->silence_deferral, {});
-      return true;
+  /// The one leaf path, for every budget-exhausted child and every
+  /// dead-at-start-only task: nothing forks from a leaf, so it needs no
+  /// trace and no state of its own. The leaf cache serves the CURRENT
+  /// fault pattern when it can (no simulation); otherwise `load` runs the
+  /// leaf trace-free in the reused arena x_.leaf — a fork_into of the
+  /// paused parent plus the leaf's fault, or a from-scratch run — into
+  /// x_.leaf_summary, whose verdict is recorded and published to the
+  /// cache. Allocation-free once the arena has grown.
+  template <typename Load>
+  void run_leaf(const Load& load) {
+    std::uint64_t key = 0;
+    if (cache_ != nullptr) {
+      key = pattern_key();
+      if (const auto hit = cache_->lookup(schedule_key_, key)) {
+        ++out_.leaves_reused;
+        record_leaf(hit->outputs_lost, hit->response_time,
+                    hit->silence_deferral, {});
+        return;
+      }
     }
-    pending_key_ = key;
-    have_pending_key_ = true;
-    return false;
+    load();
+    const IterationSummary& leaf = x_.leaf_summary;
+    certify_leaf(leaf);
+    if (cache_ != nullptr) {
+      cache_->insert(schedule_key_, key,
+                     CertifyCache::Entry{!leaf.all_outputs_produced,
+                                         leaf.response_time,
+                                         leaf.silence_deferral});
+    }
   }
 
-  /// Publishes a freshly simulated leaf under the key the preceding
-  /// serve_cached_leaf miss computed.
-  void store_leaf(const IterationResult& leaf) {
-    if (!have_pending_key_) return;
-    cache_->insert(schedule_key_, pending_key_,
-                   CertifyCache::Entry{!leaf.all_outputs_produced,
-                                       leaf.response_time,
-                                       leaf.silence_deferral});
-    have_pending_key_ = false;
-  }
-
-  /// Externally visible action dates of one victim, plus the in-flight
-  /// windows whose interior keeps a candidate (the fault instant there IS
-  /// the link-release / frame-loss instant).
-  struct VictimActs {
-    std::vector<Time> acts;
-    std::vector<Interval> windows;
-  };
-
+  /// Externally visible action dates of one victim (x_.acts, sorted),
+  /// plus the in-flight windows whose interior keeps a candidate
+  /// (x_.windows: the fault instant there IS the link-release /
+  /// frame-loss instant).
+  ///
   /// A processor's acts: replica completions and the start/end of every
   /// hop it feeds; windows are the in-flight spans of those hops.
-  [[nodiscard]] VictimActs proc_acts(const Trace& leaf,
-                                     ProcessorId victim) const {
-    VictimActs out;
-    std::vector<std::pair<LinkId, Time>> open;
+  void proc_acts(const Trace& leaf, ProcessorId victim) {
+    x_.acts.clear();
+    x_.windows.clear();
+    x_.open.clear();
     for (const TraceEvent& event : leaf.events()) {
       if (event.proc != victim) continue;
       switch (event.kind) {
         case TraceEvent::Kind::kOpEnd:
-          out.acts.push_back(event.time);
+          x_.acts.push_back(event.time);
           break;
         case TraceEvent::Kind::kTransferStart:
-          out.acts.push_back(event.time);
-          open.emplace_back(event.link, event.time);
+          x_.acts.push_back(event.time);
+          x_.open.emplace_back(event.link, event.time);
           break;
         // A drop ends the hop as surely as a completion: the frame is gone
         // and the link idle. Leaving the window open would let stale
@@ -372,13 +402,13 @@ class Explorer {
         // instants forever.
         case TraceEvent::Kind::kTransferEnd:
         case TraceEvent::Kind::kDrop: {
-          out.acts.push_back(event.time);
+          x_.acts.push_back(event.time);
           const auto it = std::find_if(
-              open.rbegin(), open.rend(),
+              x_.open.rbegin(), x_.open.rend(),
               [&](const auto& o) { return o.first == event.link; });
-          if (it != open.rend()) {
-            out.windows.push_back(Interval{it->second, event.time});
-            open.erase(std::next(it).base());
+          if (it != x_.open.rend()) {
+            x_.windows.push_back(Interval{it->second, event.time});
+            x_.open.erase(std::next(it).base());
           }
           break;
         }
@@ -386,48 +416,47 @@ class Explorer {
           break;
       }
     }
-    for (const auto& [link, start] : open) {
-      out.windows.push_back(Interval{start, kInfinite});
+    for (const auto& [link, start] : x_.open) {
+      x_.windows.push_back(Interval{start, kInfinite});
     }
-    std::sort(out.acts.begin(), out.acts.end());
-    return out;
+    std::sort(x_.acts.begin(), x_.acts.end());
   }
 
   /// A link's acts: every transfer start/end it carried. The in-flight
   /// windows are kept too, conservatively: a link dead mid-frame loses
   /// the frame at any interior instant, but keeping the interior samples
   /// costs little and never merges two behaviours unsoundly.
-  [[nodiscard]] VictimActs link_acts(const Trace& leaf, LinkId victim) const {
-    VictimActs out;
+  void link_acts(const Trace& leaf, LinkId victim) {
+    x_.acts.clear();
+    x_.windows.clear();
     Time open = kInfinite;
     for (const TraceEvent& event : leaf.events()) {
       if (event.link != victim) continue;
       if (event.kind == TraceEvent::Kind::kTransferStart) {
-        out.acts.push_back(event.time);
+        x_.acts.push_back(event.time);
         open = event.time;
       } else if (event.kind == TraceEvent::Kind::kTransferEnd ||
                  event.kind == TraceEvent::Kind::kDrop) {
-        out.acts.push_back(event.time);
+        x_.acts.push_back(event.time);
         if (!is_infinite(open)) {
-          out.windows.push_back(Interval{open, event.time});
+          x_.windows.push_back(Interval{open, event.time});
           open = kInfinite;
         }
       }
     }
     if (!is_infinite(open)) {
-      out.windows.push_back(Interval{open, kInfinite});
+      x_.windows.push_back(Interval{open, kInfinite});
     }
-    std::sort(out.acts.begin(), out.acts.end());
-    return out;
+    std::sort(x_.acts.begin(), x_.acts.end());
   }
 
-  /// Sorted dates the victim starts feeding a hop — the only instants a
-  /// silent window's edges can distinguish (is_silent is consulted at
-  /// send start; a window opening inside an in-flight hop blocks nothing
-  /// of it).
-  [[nodiscard]] std::vector<Time> send_starts(const Trace& leaf,
-                                              ProcessorId victim) const {
-    std::vector<Time> sends;
+  /// Sorted dates the victim starts feeding a hop, into `sends` — the only
+  /// instants a silent window's edges can distinguish (is_silent is
+  /// consulted at send start; a window opening inside an in-flight hop
+  /// blocks nothing of it).
+  static void send_starts(const Trace& leaf, ProcessorId victim,
+                          std::vector<Time>& sends) {
+    sends.clear();
     for (const TraceEvent& event : leaf.events()) {
       if (event.proc == victim &&
           event.kind == TraceEvent::Kind::kTransferStart) {
@@ -435,16 +464,16 @@ class Explorer {
       }
     }
     std::sort(sends.begin(), sends.end());
-    return sends;
   }
 
   /// Candidate instants kept for a crash-like fault (processor crash or
-  /// link death), after the canonical same-instant filter and (when
-  /// enabled) the exact-equivalence merge described in the header.
-  [[nodiscard]] std::vector<Time> kept_crash_instants(
-      const VictimActs& victim, const std::vector<Time>& candidates, Time t0,
-      FaultKey last, FaultKey self) {
-    std::vector<Time> kept;
+  /// link death) whose acts proc_acts/link_acts just gathered, after the
+  /// canonical same-instant filter and (when enabled) the
+  /// exact-equivalence merge described in the header; into `kept`.
+  void kept_crash_instants(const std::vector<Time>& candidates, Time t0,
+                           FaultKey last, FaultKey self,
+                           std::vector<Time>& kept) {
+    kept.clear();
     for (const Time c : candidates) {
       // Canonical ordering: equal-instant fault pairs are explored once,
       // in ascending (class, id) order.
@@ -454,11 +483,11 @@ class Explorer {
         continue;
       }
       const Time k0 = kept.back();
-      const auto lo = std::upper_bound(victim.acts.begin(),
-                                       victim.acts.end(), k0 + kTimeEpsilon);
-      const bool acted = lo != victim.acts.end() && time_le(*lo, c);
+      const auto lo =
+          std::upper_bound(x_.acts.begin(), x_.acts.end(), k0 + kTimeEpsilon);
+      const bool acted = lo != x_.acts.end() && time_le(*lo, c);
       const bool mid_transfer =
-          !acted && std::any_of(victim.windows.begin(), victim.windows.end(),
+          !acted && std::any_of(x_.windows.begin(), x_.windows.end(),
                                 [&](const Interval& w) {
                                   return time_lt(w.start, c) &&
                                          time_lt(c, w.end);
@@ -470,18 +499,18 @@ class Explorer {
       }
     }
     out_.instants_kept += kept.size();
-    return kept;
   }
 
   /// Opening-edge candidates kept for a silent window on one victim.
   /// Windows [k0, t) and [c, t) block the same sends iff the victim starts
   /// no send in [k0, c) — the opening edge is inclusive, so the half-open
   /// check differs from the crash merge's (k0, c]. Kept/merged pairs are
-  /// accounted per (from, to) combination in silence_tos().
-  [[nodiscard]] std::vector<Time> kept_silence_froms(
-      const std::vector<Time>& sends, const std::vector<Time>& candidates,
-      Time t0, FaultKey last, FaultKey self) {
-    std::vector<Time> kept;
+  /// accounted per (from, to) combination in silence_tos(). Into `kept`.
+  void kept_silence_froms(const std::vector<Time>& sends,
+                          const std::vector<Time>& candidates, Time t0,
+                          FaultKey last, FaultKey self,
+                          std::vector<Time>& kept) {
+    kept.clear();
     for (const Time c : candidates) {
       if (last.valid() && time_eq(c, t0) && self <= last) continue;
       if (!spec_.dedup || kept.empty()) {
@@ -497,7 +526,6 @@ class Explorer {
         ++out_.instants_merged;
       }
     }
-    return kept;
   }
 
   /// Closing-edge candidates for a window opening at `from`: every
@@ -506,13 +534,13 @@ class Explorer {
   /// none of the victim's sends is pruned — it is exactly the parent
   /// leaf. Every surviving `to` is kept: the closing edge is where
   /// blocked sends resume, so it shifts downstream behaviour continuously
-  /// (the continuum caveat in the header).
-  [[nodiscard]] std::vector<Time> silence_tos(
-      const std::vector<Time>& sends, const std::vector<Time>& candidates,
-      Time from, Time beyond) {
+  /// (the continuum caveat in the header). Into `kept`.
+  void silence_tos(const std::vector<Time>& sends,
+                   const std::vector<Time>& candidates, Time from,
+                   Time beyond, std::vector<Time>& kept) {
     const auto first_blocked =
         std::lower_bound(sends.begin(), sends.end(), from - kTimeEpsilon);
-    std::vector<Time> kept;
+    kept.clear();
     auto consider = [&](Time to) {
       const bool blocks =
           first_blocked != sends.end() && time_lt(*first_blocked, to);
@@ -527,70 +555,81 @@ class Explorer {
     }
     consider(beyond);
     out_.instants_kept += kept.size();
-    return kept;
   }
 
-  /// Executes one child subtree — fork, inject, leaf, recursion — unless
-  /// the replay cache serves it. The caller has already pushed the child's
-  /// fault onto its stack; `inject` applies it to a forked branch.
+  /// Executes one child subtree of the node at `depth`, whose branch
+  /// `cursor` is paused at the child's fault instant. The caller has
+  /// already pushed the child's fault onto its stack; `inject` applies it
+  /// to a branch. Each child counts two fork points (its own branch, its
+  /// leaf run) whatever is copied for them: a budget-exhausted child is a
+  /// leaf (run_leaf, copied into the leaf arena); any other child is copied
+  /// with its trace into the next level, finished in a traced copy there
+  /// for the trace that plans its own children, and explored.
   template <typename Inject>
   void explore_child(const Simulator::Branch& cursor, const Inject& inject,
-                     Budgets rest, Time c, FaultKey key) {
-    if (serve_cached_leaf(rest)) return;
-    Simulator::Branch child = cursor.fork();
-    ++out_.forks;
-    inject(child);
-    ++out_.forks;
-    const IterationResult child_leaf = sim_.finish(child.fork());
-    certify_leaf(child_leaf);
-    store_leaf(child_leaf);
-    explore_children(child, child_leaf, rest, c, key, FaultKey{});
+                     Budgets rest, Time c, FaultKey key, std::size_t depth) {
+    if (rest.exhausted()) {
+      run_leaf([&] {
+        out_.forks += 2;
+        cursor.fork_into(x_.leaf);
+        inject(x_.leaf);
+        sim_.finish_summary(x_.leaf, x_.leaf_summary);
+      });
+      return;
+    }
+    Level& child = x_.levels[depth + 1];
+    out_.forks += 2;
+    cursor.fork_into(child.node, /*with_trace=*/true);
+    inject(child.node);
+    child.node.fork_into(child.run, /*with_trace=*/true);
+    sim_.finish_summary(child.run, child.digest);
+    certify_leaf(child.digest);
+    explore_children(depth + 1, rest, c, key, FaultKey{});
   }
 
-  /// Explores every child of `node` whose fault comes after `last` in the
-  /// canonical order. A task root passes its first victim as `only` and
-  /// its slice: every slice plans the same kept first-fault instants,
-  /// explores its own contiguous range of them, and leaves the root-level
-  /// accounting (instants kept/merged, the cursor fork) to slice 0.
-  void explore_children(const Simulator::Branch& node,
-                        const IterationResult& leaf, Budgets budgets,
-                        Time t0, FaultKey last, FaultKey only,
-                        Slice slice = {}) {
+  /// Explores every child of the node at `depth` whose fault comes after
+  /// `last` in the canonical order, planned from the trace of the level's
+  /// finished run and forked from the level's node, which is advanced as
+  /// the children's cursor (it has no other use left). A task root passes
+  /// its first victim as `only` and its slice: every slice plans the same
+  /// kept first-fault instants, explores its own contiguous range of
+  /// them, and leaves the root-level accounting (instants kept/merged, the
+  /// cursor fork point) to slice 0.
+  void explore_children(std::size_t depth, Budgets budgets, Time t0,
+                        FaultKey last, FaultKey only, Slice slice = {}) {
     if (budgets.exhausted()) return;
-    const std::vector<Time> candidates =
-        representative_instants(leaf.trace, t0, deadlines_);
+    Level& level = x_.levels[depth];
+    const Trace& leaf = level.run.trace();
+    representative_instants(leaf, t0, deadlines_, level.candidates);
+    const std::vector<Time>& candidates = level.candidates;
     if (candidates.empty()) return;
     const Time beyond = candidates.back() + beyond_tail_;
 
-    struct VictimPlan {
-      FaultKey key;
-      std::vector<Time> instants;
-      std::vector<Time> sends;  // silence victims only
-    };
-    std::vector<VictimPlan> victims;
+    std::vector<VictimPlan>& victims = level.victims;
+    level.planned = 0;
     const std::size_t kept0 = out_.instants_kept;
     const std::size_t merged0 = out_.instants_merged;
     auto consider = [&](FaultKey key) {
       if (only.valid() && !(key == only)) return;
-      VictimPlan plan;
+      if (level.planned == victims.size()) victims.emplace_back();
+      VictimPlan& plan = victims[level.planned];
       plan.key = key;
       if (key.cls == kClsCrash) {
-        const ProcessorId victim{
-            static_cast<ProcessorId::underlying_type>(key.id)};
-        plan.instants = kept_crash_instants(proc_acts(leaf.trace, victim),
-                                            candidates, t0, last, key);
+        proc_acts(leaf, ProcessorId{
+                            static_cast<ProcessorId::underlying_type>(key.id)});
+        kept_crash_instants(candidates, t0, last, key, plan.instants);
       } else if (key.cls == kClsLinkDeath) {
-        const LinkId victim{static_cast<LinkId::underlying_type>(key.id)};
-        plan.instants = kept_crash_instants(link_acts(leaf.trace, victim),
-                                            candidates, t0, last, key);
+        link_acts(leaf, LinkId{static_cast<LinkId::underlying_type>(key.id)});
+        kept_crash_instants(candidates, t0, last, key, plan.instants);
       } else {
-        const ProcessorId victim{
-            static_cast<ProcessorId::underlying_type>(key.id)};
-        plan.sends = send_starts(leaf.trace, victim);
-        plan.instants =
-            kept_silence_froms(plan.sends, candidates, t0, last, key);
+        send_starts(leaf,
+                    ProcessorId{
+                        static_cast<ProcessorId::underlying_type>(key.id)},
+                    plan.sends);
+        kept_silence_froms(plan.sends, candidates, t0, last, key,
+                           plan.instants);
       }
-      if (!plan.instants.empty()) victims.push_back(std::move(plan));
+      if (!plan.instants.empty()) ++level.planned;
     };
     if (budgets.crashes > 0) {
       for (std::size_t p = 0; p < procs_; ++p) {
@@ -619,9 +658,11 @@ class Explorer {
       out_.instants_kept = kept0;
       out_.instants_merged = merged0;
     }
-    if (victims.empty()) return;
+    const std::size_t planned = level.planned;
+    if (planned == 0) return;
     // One cursor per node: the shared prefix is executed once per instant,
-    // each (victim, instant) branch forks it.
+    // each (victim, instant) branch forks it. The node is the cursor; the
+    // fork point is still counted (see CertifyReport::forks).
     if (slice.index == 0) ++out_.forks;
     if (slice.count > 1) {
       // `only` leaves exactly one victim at a task root.
@@ -636,19 +677,20 @@ class Explorer {
                                             n * slice.index / slice.count));
       if (instants.empty()) return;
     }
-    Simulator::Branch cursor = node.fork();
-    std::vector<std::size_t> next(victims.size(), 0);
+    Simulator::Branch& cursor = level.node;
+    std::vector<std::size_t>& next = level.next;
+    next.assign(planned, 0);
     for (;;) {
       // Earliest un-dispatched instant across the victims.
       Time c = kInfinite;
-      for (std::size_t v = 0; v < victims.size(); ++v) {
+      for (std::size_t v = 0; v < planned; ++v) {
         if (next[v] < victims[v].instants.size()) {
           c = std::min(c, victims[v].instants[next[v]]);
         }
       }
       if (is_infinite(c)) break;
       sim_.advance_until(cursor, c);
-      for (std::size_t v = 0; v < victims.size(); ++v) {
+      for (std::size_t v = 0; v < planned; ++v) {
         if (next[v] >= victims[v].instants.size() ||
             victims[v].instants[next[v]] != c) {
           continue;
@@ -666,7 +708,7 @@ class Explorer {
               [&](Simulator::Branch& child) {
                 sim_.inject(child, FailureEvent{victim, c});
               },
-              rest, c, key);
+              rest, c, key, depth);
           crashes_.pop_back();
         } else if (key.cls == kClsLinkDeath) {
           const LinkId victim{static_cast<LinkId::underlying_type>(key.id)};
@@ -678,22 +720,22 @@ class Explorer {
               [&](Simulator::Branch& child) {
                 sim_.inject(child, LinkFailureEvent{victim, c});
               },
-              rest, c, key);
+              rest, c, key, depth);
           link_crashes_.pop_back();
         } else {
           const ProcessorId victim{
               static_cast<ProcessorId::underlying_type>(key.id)};
           Budgets rest = budgets;
           --rest.silences;
-          for (const Time to :
-               silence_tos(victims[v].sends, candidates, c, beyond)) {
+          silence_tos(victims[v].sends, candidates, c, beyond, level.tos);
+          for (const Time to : level.tos) {
             silences_.push_back(SilentWindow{victim, c, to});
             explore_child(
                 cursor,
                 [&](Simulator::Branch& child) {
                   sim_.inject(child, SilentWindow{victim, c, to});
                 },
-                rest, c, key);
+                rest, c, key, depth);
             silences_.pop_back();
           }
         }
@@ -709,12 +751,11 @@ class Explorer {
   const Time beyond_tail_;
   CertifyCache* const cache_;
   const std::uint64_t schedule_key_;
-  std::uint64_t pending_key_ = 0;
-  bool have_pending_key_ = false;
   /// Resolved chain probes, spec order (empty = scalar-only sweep).
   const std::vector<LatencyProbe>& probes_;
   /// Scratch: names the current leaf violates (record_leaf only).
   std::vector<std::string> chain_violated_;
+  ExplorerScratch& x_;
   CertifyTaskPartial& out_;
   std::vector<ProcessorId> dead_;
   std::vector<LinkId> dead_links_;
@@ -1042,7 +1083,12 @@ bool certify_shard(const Schedule& schedule, const CertifySpec& spec,
   std::mutex emit_mutex;
   std::size_t next_pos = 0;
   bool was_cancelled = false;
+  // Explorer scratch, recycled across slices: a slice takes a spare one
+  // (or makes one) and hands it back, so there is one per concurrently
+  // running slice and each keeps the storage it has grown.
+  std::vector<std::unique_ptr<ExplorerScratch>> spare_scratch;
   auto run_slice = [&](std::size_t pos, Slice slice) {
+    std::unique_ptr<ExplorerScratch> scratch;
     {
       const std::lock_guard<std::mutex> lock(emit_mutex);
       if (was_cancelled) return;
@@ -1050,15 +1096,21 @@ bool certify_shard(const Schedule& schedule, const CertifySpec& spec,
         was_cancelled = true;
         return;
       }
+      if (!spare_scratch.empty()) {
+        scratch = std::move(spare_scratch.back());
+        spare_scratch.pop_back();
+      }
     }
+    if (!scratch) scratch = std::make_unique<ExplorerScratch>();
     const SweepPlan::Task& task = plan.tasks[owned[pos]];
     CertifyTaskPartial partial;
     partial.task_index = owned[pos];
     Explorer explorer(simulator, spec, deadlines, procs, links, schedule_key,
-                      probes, partial);
+                      probes, *scratch, partial);
     explorer.run(*task.dead, *task.dead_links, task.first, task.budgets,
                  slice);
     const std::lock_guard<std::mutex> lock(emit_mutex);
+    spare_scratch.push_back(std::move(scratch));
     rows[pos][slice.index] = std::move(partial);
     ++finished[pos];
     while (next_pos < owned.size() &&

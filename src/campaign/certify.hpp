@@ -68,7 +68,10 @@
 //
 // Sharing. Branches are never replayed from t=0: the engine forks the
 // paused parent prefix (Simulator::Branch) at each candidate instant, so
-// the cost of a node is its suffix, not its depth. Tasks — one per
+// the cost of a node is its suffix, not its depth. A budget-exhausted leaf
+// — most branches — is copied trace-free into one reused arena and judged
+// from its run's digest; interior nodes reuse one traced level per depth,
+// so steady-state exploration allocates nothing per node. Tasks — one per
 // (dead subsets, first fault victim) — are cut into a fixed number of
 // slices of their first victim's kept first-fault instants (unless each
 // such instant roots a single leaf). Slices fan across the WorkPool, fold
@@ -218,7 +221,7 @@ struct CertifySpec {
   /// CertifyReport::branches_list — the bench replays that list from
   /// scratch as its baseline. Off by default (memory).
   bool collect_branches = false;
-  /// Replay cache for incremental re-certification (null = off). Owned by
+  /// Leaf cache for incremental re-certification (null = off). Owned by
   /// the caller and shared across sweeps: budget-exhausted leaves (and the
   /// dead-at-start-only root leaves) whose (schedule, fault pattern) pair
   /// was already simulated are served from it without forking. The verdict
@@ -232,7 +235,7 @@ struct CertifySpec {
   /// constraints. Validated and resolved once per sweep through
   /// resolve_latency_constraints — malformed specs throw
   /// std::invalid_argument, like every other certifier entry point.
-  /// Non-empty constraints gate the replay cache off: its entries carry
+  /// Non-empty constraints gate the leaf cache off: its entries carry
   /// only the scalar leaf verdict, not the per-op completion table the
   /// chains are judged from. Empty (the default) keeps the certificate
   /// byte-identical to the scalar certifier.
@@ -286,7 +289,12 @@ struct CertifyReport {
   /// Fault branches certified — leaves of the explored tree; with dedup
   /// off this is the full representative enumeration.
   std::size_t branches = 0;
-  /// Branch forks performed (the work the prefix sharing buys).
+  /// Fork points of the explored tree (the work the prefix sharing buys):
+  /// one per simulated task-root leaf, one per node cursor, two per
+  /// simulated child (its branch and its leaf run). A count of tree
+  /// positions, not of state copies — a leaf reloads one reused arena and
+  /// a node serves as its own cursor — so it is a pure function of the
+  /// sweep, whatever the engine copies.
   std::size_t forks = 0;
   /// Leaves served from spec.cache without simulation / leaves actually
   /// simulated (leaves_fresh + leaves_reused == branches). Thread-count

@@ -4,7 +4,7 @@
 // refutes, each round:
 //
 //  1. certifies the current schedule over the full budgeted fault model
-//     (campaign/certify.hpp) with a shared replay cache, so re-certifying
+//     (campaign/certify.hpp) with a shared leaf cache, so re-certifying
 //     an unchanged schedule reuses previously simulated leaves;
 //  2. shrinks the first counterexample to a 1-minimal reproducer
 //     (campaign/shrink.hpp, budgeted) and banks it — every banked
@@ -119,7 +119,7 @@ struct RepairRound {
   bool certified = false;
   std::size_t branches = 0;
   std::size_t total_counterexamples = 0;
-  /// Replay-cache accounting of this round's sweep (see CertifyReport).
+  /// Leaf-cache accounting of this round's sweep (see CertifyReport).
   std::size_t leaves_reused = 0;
   std::size_t leaves_fresh = 0;
   std::size_t events_simulated = 0;
@@ -149,7 +149,7 @@ struct RepairReport {
   /// warm cache. Same verdict, leaves_reused > 0 — the incremental
   /// re-certification evidence.
   std::optional<CertifyReport> confirmation;
-  /// Replay-cache population after the loop.
+  /// Leaf-cache population after the loop.
   std::size_t cache_entries = 0;
   /// Set when the loop stopped without a certificate.
   bool moves_exhausted = false;

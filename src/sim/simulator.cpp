@@ -115,16 +115,15 @@ struct SimPlan {
 /// The complete per-run state of one simulated iteration, separated from
 /// the engine so a paused run can be snapshotted (Simulator::Branch) and
 /// forked per failure branch, and so a worker can reuse one state as an
-/// arena across a whole chunk of scenarios (Simulator::Scratch — init()
-/// resets every table without releasing storage). Hot fields are split
-/// into parallel struct-of-arrays byte/index tables sized for cache lines;
-/// copying is a handful of flat vector copies (the trace prefix being the
-/// largest), never a re-simulation and never a per-transfer route copy.
+/// arena across a whole chunk of scenarios or certifier leaves (an
+/// untraced Branch — init() resets every table without releasing storage,
+/// copy-assignment refills it in place). The trace is not part of it: the
+/// owning Branch keeps it, so an untraced copy is one plain copy-assign.
+/// Hot fields are split into parallel struct-of-arrays byte/index tables
+/// sized for cache lines; copying is a handful of flat vector copies,
+/// never a re-simulation and never a per-transfer route copy.
 struct SimState {
   bool prologue_done = false;
-  /// Summary mode: record() skips the Trace and feeds the digest
-  /// accumulators only (run_summary); trace mode keeps both in sync.
-  bool summary = false;
   /// Events dispatched by THIS state since it was begun or forked (fork
   /// resets the copy's counter): the marginal simulation work of a branch,
   /// excluding the shared prefix it inherited.
@@ -134,7 +133,6 @@ struct SimState {
   Time executed_until = -kInfinite;
   std::uint32_t seq = 0;
   EventQueue queue;
-  Trace trace;
 
   // Processors (SoA).
   std::vector<char> proc_alive;
@@ -191,7 +189,7 @@ struct SimState {
   std::vector<char> has_value;  // [proc * deps + dep]
   std::vector<char> certified;  // [proc * deps + dep]
 
-  // Digest accumulators, maintained in both modes (finish() derives the
+  // Digest accumulators, maintained traced or not (finish() derives the
   // response from op_end instead of re-scanning the trace).
   std::size_t n_timeouts = 0;
   std::size_t n_elections = 0;
@@ -351,7 +349,9 @@ constexpr unsigned kDirtyWatchers = 1;
 constexpr unsigned kDirtyOps = 2;
 constexpr unsigned kDirtyTransfers = 4;
 
-/// Executes one iteration over an externally owned SimState. The engine
+/// Executes one iteration over an externally owned SimState, recording
+/// into an externally owned Trace — or, with a null trace, in summary mode:
+/// record() is skipped and only the digest accumulators are fed. The engine
 /// itself is stateless between calls — Simulator::run drives a fresh state
 /// to completion, the Branch API drives a state in stop-and-go slices with
 /// faults injected between slices, and both orders produce bit-identical
@@ -359,13 +359,15 @@ constexpr unsigned kDirtyTransfers = 4;
 class Engine {
  public:
   Engine(const Schedule& schedule, const RoutingTable& routing,
-         const SimPlan& plan, EventSchedulerKind scheduler, SimState& s)
+         const SimPlan& plan, EventSchedulerKind scheduler, SimState& s,
+         Trace* trace)
       : schedule_(schedule),
         routing_(routing),
         plan_(plan),
         scheduler_(scheduler),
         graph_(*schedule.problem().algorithm),
-        s_(s) {}
+        s_(s),
+        trace_(trace) {}
 
   /// Applies `scenario` to a fresh (or recycled — every table is re-armed
   /// without releasing storage) state.
@@ -376,7 +378,6 @@ class Engine {
     s_.executed_until = -kInfinite;
     s_.seq = 0;
     s_.queue.configure(scheduler_, plan_.horizon, plan_.expected_events);
-    s_.trace.clear();
     s_.proc_alive.assign(procs, 1);
     s_.proc_busy.assign(procs, 0);
     s_.proc_abort.assign(procs, 0);
@@ -507,7 +508,7 @@ class Engine {
     result.silence_deferral = silence_deferral();
     result.op_completions = s_.op_end;
     collect_detected(result.detected_failures);
-    result.trace = std::move(s_.trace);
+    if (trace_ != nullptr) result.trace = std::move(*trace_);
     return result;
   }
 
@@ -604,7 +605,7 @@ class Engine {
   }
 
   void record(const TraceEvent& event) {
-    if (!s_.summary) s_.trace.record(event);
+    if (trace_ != nullptr) trace_->record(event);
   }
 
   ProcessorId pid(std::size_t index) const {
@@ -721,7 +722,7 @@ class Engine {
     }
     const OpRecord& op = plan_.ops[plan_.op_begin[p] + s_.proc_next[p]];
     if (Time& end = s_.op_end[op.op.index()]; now < end) end = now;
-    if (!s_.summary) {
+    if (trace_ != nullptr) {
       record({TraceEvent::Kind::kOpEnd, now, pid(p), {}, op.op, op.rank,
               {}, {}});
     }
@@ -762,7 +763,7 @@ class Engine {
       const StaticTransfer& transfer = plan_.transfers[t];
       const HopRecord& h = plan_.hops[transfer.hop_begin + hop];
       s_.link_busy[h.link.index()] = 0;
-      if (!s_.summary) {
+      if (trace_ != nullptr) {
         record({TraceEvent::Kind::kTransferEnd, now, h.feed, transfer.to,
                 {}, -1, transfer.dep, h.link});
       }
@@ -776,7 +777,7 @@ class Engine {
       const LinkId link = transfer.route->links[hop];
       const ProcessorId feeding = transfer.route->hops[hop];
       s_.link_busy[link.index()] = 0;
-      if (!s_.summary) {
+      if (trace_ != nullptr) {
         record({TraceEvent::Kind::kTransferEnd, now, feeding, transfer.to,
                 {}, -1, transfer.dep, link});
       }
@@ -824,7 +825,7 @@ class Engine {
       }
       if (!ready) continue;
       s_.proc_busy[p] = 1;
-      if (!s_.summary) {
+      if (trace_ != nullptr) {
         record({TraceEvent::Kind::kOpStart, now, pid(p), {}, op.op, op.rank,
                 {}, {}});
       }
@@ -864,7 +865,7 @@ class Engine {
       s_.link_busy[h.link.index()] = 1;
       s_.tr_status[t] = kInFlight;
       ++s_.n_transfer_starts;
-      if (!s_.summary) {
+      if (trace_ != nullptr) {
         record({TraceEvent::Kind::kTransferStart, now, h.feed, transfer.to,
                 {}, -1, transfer.dep, h.link});
       }
@@ -899,7 +900,7 @@ class Engine {
     s_.link_busy[link.index()] = 1;
     s_.tr_status[t] = kInFlight;
     ++s_.n_transfer_starts;
-    if (!s_.summary) {
+    if (trace_ != nullptr) {
       record({TraceEvent::Kind::kTransferStart, now, feeding, transfer.to,
               {}, -1, transfer.dep, link});
     }
@@ -969,7 +970,7 @@ class Engine {
       if (time_ge(now, entry.deadline)) {
         s_.flags[recv * procs + entry.sender.index()] = 1;
         ++s_.n_timeouts;
-        if (!s_.summary) {
+        if (trace_ != nullptr) {
           record({TraceEvent::Kind::kTimeout, now, watcher.receiver,
                   entry.sender, {}, entry.rank, watcher.dep, {}});
         }
@@ -992,7 +993,7 @@ class Engine {
       if (!s_.w_elected[w]) {
         s_.w_elected[w] = 1;
         ++s_.n_elections;
-        if (!s_.summary) {
+        if (trace_ != nullptr) {
           record({TraceEvent::Kind::kElection, now, watcher.receiver, {},
                   {}, watcher.backup_rank, watcher.dep, {}});
         }
@@ -1085,37 +1086,51 @@ class Engine {
   const EventSchedulerKind scheduler_;
   const AlgorithmGraph& graph_;
   SimState& s_;
+  Trace* const trace_;  // null: summary mode
 };
 
 }  // namespace
 
-Simulator::Branch::Branch(std::unique_ptr<sim_detail::SimState> state)
-    : state_(std::move(state)) {}
+Simulator::Branch::Branch() = default;
 Simulator::Branch::Branch(Branch&&) noexcept = default;
 Simulator::Branch& Simulator::Branch::operator=(Branch&&) noexcept = default;
 Simulator::Branch::~Branch() = default;
 
 Simulator::Branch Simulator::Branch::fork() const {
-  auto copy = std::make_unique<sim_detail::SimState>(*state_);
+  Branch copy;
+  copy.state_ = std::make_unique<sim_detail::SimState>(*state_);
+  copy.trace_ = trace_;
+  copy.traced_ = traced_;
   // Fork-local accounting: the copy inherits the prefix's behaviour but
   // not its cost — events it dispatches from here on are its own.
-  copy->events_dispatched = 0;
-  return Branch(std::move(copy));
+  copy.state_->events_dispatched = 0;
+  return copy;
+}
+
+void Simulator::Branch::fork_into(Branch& arena, bool with_trace) const {
+  // Copy-assignment reuses the arena's vector capacity.
+  if (arena.state_) {
+    *arena.state_ = *state_;
+  } else {
+    arena.state_ = std::make_unique<sim_detail::SimState>(*state_);
+  }
+  arena.traced_ = with_trace && traced_;
+  if (arena.traced_) {
+    arena.trace_ = trace_;
+  } else {
+    arena.trace_.clear();
+  }
+  arena.state_->events_dispatched = 0;
 }
 
 Time Simulator::Branch::frontier() const {
-  return state_->queue.empty() ? kInfinite : state_->queue.top().time;
+  return !state_ || state_->queue.empty() ? kInfinite
+                                          : state_->queue.top().time;
 }
 
 std::size_t Simulator::Branch::executed_events() const {
-  return state_->events_dispatched;
+  return state_ ? state_->events_dispatched : 0;
 }
-
-Simulator::Scratch::Scratch() = default;
-Simulator::Scratch::Scratch(Scratch&&) noexcept = default;
-Simulator::Scratch& Simulator::Scratch::operator=(Scratch&&) noexcept =
-    default;
-Simulator::Scratch::~Scratch() = default;
 
 Simulator::Simulator(const Schedule& schedule, SimOptions options)
     : schedule_(&schedule),
@@ -1129,7 +1144,9 @@ Simulator::~Simulator() = default;
 IterationResult Simulator::run(const FailureScenario& scenario) const {
   FTSCHED_SPAN("sim.run");
   sim_detail::SimState state;
-  Engine engine(*schedule_, routing_, *plan_, options_.scheduler, state);
+  Trace trace;
+  Engine engine(*schedule_, routing_, *plan_, options_.scheduler, state,
+                &trace);
   engine.init(scenario);
   engine.run_all();
   return engine.finish();
@@ -1138,51 +1155,68 @@ IterationResult Simulator::run(const FailureScenario& scenario) const {
 void Simulator::run_summary(const FailureScenario& scenario, Scratch& scratch,
                             IterationSummary& out) const {
   FTSCHED_SPAN("sim.run");
-  if (!scratch.state_) {
-    scratch.state_ = std::make_unique<sim_detail::SimState>();
-  }
-  sim_detail::SimState& state = *scratch.state_;
-  state.summary = true;
-  Engine engine(*schedule_, routing_, *plan_, options_.scheduler, state);
-  engine.init(scenario);
+  begin(scenario, scratch, /*with_trace=*/false);
+  Engine engine(*schedule_, routing_, *plan_, options_.scheduler,
+                *scratch.state_, nullptr);
   engine.run_all();
   engine.finish_summary(out);
 }
 
 Simulator::Branch Simulator::begin(const FailureScenario& scenario) const {
-  auto state = std::make_unique<sim_detail::SimState>();
-  Engine(*schedule_, routing_, *plan_, options_.scheduler, *state)
+  Branch branch;
+  begin(scenario, branch);
+  return branch;
+}
+
+void Simulator::begin(const FailureScenario& scenario, Branch& into,
+                      bool with_trace) const {
+  if (!into.state_) into.state_ = std::make_unique<sim_detail::SimState>();
+  into.trace_.clear();
+  into.traced_ = with_trace;
+  Engine(*schedule_, routing_, *plan_, options_.scheduler, *into.state_,
+         into.recorder())
       .init(scenario);
-  return Branch(std::move(state));
 }
 
 void Simulator::advance_until(Branch& branch, Time t) const {
-  Engine(*schedule_, routing_, *plan_, options_.scheduler, *branch.state_)
+  Engine(*schedule_, routing_, *plan_, options_.scheduler, *branch.state_,
+         branch.recorder())
       .run_until(t);
 }
 
 void Simulator::inject(Branch& branch, const FailureEvent& failure) const {
-  Engine(*schedule_, routing_, *plan_, options_.scheduler, *branch.state_)
+  Engine(*schedule_, routing_, *plan_, options_.scheduler, *branch.state_,
+         branch.recorder())
       .inject(failure);
 }
 
 void Simulator::inject(Branch& branch,
                        const LinkFailureEvent& failure) const {
-  Engine(*schedule_, routing_, *plan_, options_.scheduler, *branch.state_)
+  Engine(*schedule_, routing_, *plan_, options_.scheduler, *branch.state_,
+         branch.recorder())
       .inject(failure);
 }
 
 void Simulator::inject(Branch& branch, const SilentWindow& window) const {
-  Engine(*schedule_, routing_, *plan_, options_.scheduler, *branch.state_)
+  Engine(*schedule_, routing_, *plan_, options_.scheduler, *branch.state_,
+         branch.recorder())
       .inject(window);
 }
 
 IterationResult Simulator::finish(Branch branch) const {
   FTSCHED_SPAN("sim.finish");
   Engine engine(*schedule_, routing_, *plan_, options_.scheduler,
-                *branch.state_);
+                *branch.state_, branch.recorder());
   engine.run_all();
   return engine.finish();
+}
+
+void Simulator::finish_summary(Branch& branch, IterationSummary& out) const {
+  FTSCHED_SPAN("sim.finish");
+  Engine engine(*schedule_, routing_, *plan_, options_.scheduler,
+                *branch.state_, branch.recorder());
+  engine.run_all();
+  engine.finish_summary(out);
 }
 
 }  // namespace ftsched

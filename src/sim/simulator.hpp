@@ -34,7 +34,10 @@
 // exhaustive K-failure certifier (campaign/certify.hpp). A branch advanced
 // to t and given the remaining faults by inject() produces a bit-identical
 // IterationResult to a from-scratch run() of the whole scenario
-// (tests/sim/fork_equivalence_test.cpp pins this).
+// (tests/sim/fork_equivalence_test.cpp pins this). The trace is held by the
+// Branch beside its SimState, so an untraced branch — a reusable arena
+// (fork_into, finish_summary, Scratch) — copies and runs without touching
+// the heap once its storage has grown.
 #pragma once
 
 #include <memory>
@@ -64,7 +67,7 @@ struct IterationResult {
   /// prefix it was forked from (Branch::fork resets the counter). For a
   /// from-scratch run() this is the whole iteration's event count; for a
   /// forked branch it is the marginal simulation work the branch cost,
-  /// which is exactly what prefix sharing (and the certifier's replay
+  /// which is exactly what prefix sharing (and the certifier's leaf
   /// cache) saves.
   std::size_t events_executed = 0;
   /// True when every extio output of the algorithm was executed by at least
@@ -128,46 +131,42 @@ class Simulator {
   /// Convenience: failure-free run.
   [[nodiscard]] IterationResult run() const { return run({}); }
 
-  /// Reusable run state for the batched summary path: one Scratch per
-  /// worker amortizes every per-run allocation (state tables, event queue,
-  /// scenario buffers) across a whole campaign chunk — run_summary resets
-  /// the arena without releasing its storage. Default-constructed empty;
-  /// lazily sized on first use. Move-only, cheap to hold.
-  class Scratch {
-   public:
-    Scratch();
-    Scratch(Scratch&&) noexcept;
-    Scratch& operator=(Scratch&&) noexcept;
-    ~Scratch();
-
-   private:
-    friend class Simulator;
-    std::unique_ptr<sim_detail::SimState> state_;
-  };
-
-  /// Simulates one iteration under `scenario` without recording a trace,
-  /// accumulating the digest directly into `out` (cleared first). Reuses
-  /// `scratch`'s storage. Deterministic, and summary-equivalent to run():
-  /// same event sequence, same digest values.
-  void run_summary(const FailureScenario& scenario, Scratch& scratch,
-                   IterationSummary& out) const;
-
   /// A paused, snapshotable simulation owned by the Simulator that created
   /// it: the (partially failed) prefix of one iteration. fork() deep-copies
   /// the run state — flat POD tables, no re-simulation — so a certifier
   /// explores a tree of failure branches while paying for each shared
   /// prefix once. Move-only; forked copies are independent.
+  ///
+  /// A branch is traced (begin() and fork() record every TraceEvent, and
+  /// finish() returns the trace) or untraced: an untraced branch is a
+  /// reusable arena that records nothing and keeps its storage across
+  /// reloads — see fork_into() and Scratch. A default-constructed branch is
+  /// an empty arena, sized on first use.
   class Branch {
    public:
+    Branch();
     Branch(Branch&&) noexcept;
     Branch& operator=(Branch&&) noexcept;
     ~Branch();
 
-    /// Deep copy of the paused state. O(state size); no event is replayed.
-    /// The copy's event counter restarts at zero: work executed after the
-    /// fork is attributed to the fork, the shared prefix to its parent
-    /// (branch-reuse accounting; see IterationResult::events_executed).
+    /// Deep copy of the paused state, trace prefix included. O(state
+    /// size); no event is replayed. The copy's event counter restarts at
+    /// zero: work executed after the fork is attributed to the fork, the
+    /// shared prefix to its parent (branch-reuse accounting; see
+    /// IterationResult::events_executed).
     [[nodiscard]] Branch fork() const;
+
+    /// Fork into a reused arena: copy-assigns the paused state into the
+    /// storage `arena` already owns (no allocation once the arena has
+    /// grown to this state's size); its event counter restarts at zero,
+    /// like fork(). By default the copy is untraced — no trace prefix, no
+    /// recording; finish it with Simulator::finish_summary. With
+    /// `with_trace` on a traced branch the trace prefix is copied too (into
+    /// the arena's trace storage) and recording goes on.
+    void fork_into(Branch& arena, bool with_trace = false) const;
+
+    /// The events recorded so far (empty while untraced).
+    [[nodiscard]] const Trace& trace() const noexcept { return trace_; }
 
     /// Earliest pending event instant; kInfinite when the queue drained.
     [[nodiscard]] Time frontier() const;
@@ -177,14 +176,38 @@ class Simulator {
 
    private:
     friend class Simulator;
-    explicit Branch(std::unique_ptr<sim_detail::SimState> state);
+    /// Where the engine records: the trace, or null (summary mode).
+    [[nodiscard]] Trace* recorder() { return traced_ ? &trace_ : nullptr; }
     std::unique_ptr<sim_detail::SimState> state_;
+    /// Events recorded so far; unused (and empty) while !traced_.
+    Trace trace_;
+    bool traced_ = true;
   };
+
+  /// Reusable run state for the batched summary path: one Scratch per
+  /// worker amortizes every per-run allocation (state tables, event queue,
+  /// scenario buffers) across a whole campaign chunk — run_summary resets
+  /// the arena without releasing its storage. An untraced Branch:
+  /// default-constructed empty, lazily sized on first use.
+  using Scratch = Branch;
+
+  /// Simulates one iteration under `scenario` without recording a trace,
+  /// accumulating the digest directly into `out` (cleared first). Reuses
+  /// `scratch`'s storage. Deterministic, and summary-equivalent to run():
+  /// same event sequence, same digest values.
+  void run_summary(const FailureScenario& scenario, Scratch& scratch,
+                   IterationSummary& out) const;
 
   /// A paused run with `scenario`'s whole start state applied (dead / dead
   /// links / suspects / silent windows / queued mid-run events) and nothing
   /// executed yet.
   [[nodiscard]] Branch begin(const FailureScenario& scenario = {}) const;
+
+  /// Same, restarting `into` in place — its storage reused, so a recycled
+  /// branch begins without allocating — traced unless `with_trace` is
+  /// false (run_summary's arena).
+  void begin(const FailureScenario& scenario, Branch& into,
+             bool with_trace = true) const;
 
   /// Executes every pending instant strictly before `t` (epsilon-strict, so
   /// an event within kTimeEpsilon of `t` stays pending). After this, faults
@@ -203,6 +226,13 @@ class Simulator {
 
   /// Runs the branch to completion, consuming it.
   [[nodiscard]] IterationResult finish(Branch branch) const;
+
+  /// Runs the branch to completion in place and digests it into `out`
+  /// (overwritten): summary-equivalent to finish(), a traced branch keeps
+  /// its full trace readable through Branch::trace(). Allocation-free once
+  /// the branch's storage (and `out`'s) has grown, so an arena reloaded by
+  /// fork_into runs branch after branch without touching the heap.
+  void finish_summary(Branch& branch, IterationSummary& out) const;
 
   /// The schedule this simulator executes.
   [[nodiscard]] const Schedule& schedule() const noexcept {

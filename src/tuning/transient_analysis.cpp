@@ -12,32 +12,35 @@ std::vector<Time> representative_instants(const Trace& trace, Time min_time) {
 
 std::vector<Time> representative_instants(
     const Trace& trace, Time min_time, const std::vector<Time>& extra_dates) {
-  std::vector<Time> dates;
-  dates.reserve(trace.events().size() + extra_dates.size() + 1);
-  for (const TraceEvent& event : trace.events()) {
-    dates.push_back(event.time);
-  }
-  for (const Time date : extra_dates) {
-    if (!is_infinite(date)) dates.push_back(date);
-  }
-  std::sort(dates.begin(), dates.end());
-  dates.erase(std::unique(dates.begin(), dates.end(),
-                          [](Time a, Time b) { return time_eq(a, b); }),
-              dates.end());
-
-  std::vector<Time> instants{min_time};
-  for (std::size_t i = 0; i < dates.size(); ++i) {
-    if (time_ge(dates[i], min_time)) instants.push_back(dates[i]);
-    if (i + 1 < dates.size()) {
-      const Time mid = (dates[i] + dates[i + 1]) / 2;
-      if (time_ge(mid, min_time)) instants.push_back(mid);
-    }
-  }
-  std::sort(instants.begin(), instants.end());
-  instants.erase(std::unique(instants.begin(), instants.end(),
-                             [](Time a, Time b) { return time_eq(a, b); }),
-                 instants.end());
+  std::vector<Time> instants;
+  representative_instants(trace, min_time, extra_dates, instants);
   return instants;
+}
+
+void representative_instants(const Trace& trace, Time min_time,
+                             const std::vector<Time>& extra_dates,
+                             std::vector<Time>& out) {
+  const auto same = [](Time a, Time b) { return time_eq(a, b); };
+  // The distinct dates...
+  out.clear();
+  for (const TraceEvent& event : trace.events()) out.push_back(event.time);
+  for (const Time date : extra_dates) {
+    if (!is_infinite(date)) out.push_back(date);
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end(), same), out.end());
+  // ...plus the midpoint of each consecutive pair and min_time itself,
+  // keeping only instants >= min_time.
+  const std::size_t dates = out.size();
+  for (std::size_t i = 0; i + 1 < dates; ++i) {
+    out.push_back((out[i] + out[i + 1]) / 2);
+  }
+  out.push_back(min_time);
+  out.erase(std::remove_if(out.begin(), out.end(),
+                           [&](Time t) { return !time_ge(t, min_time); }),
+            out.end());
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end(), same), out.end());
 }
 
 TransientReport analyze_transient(const Schedule& schedule) {

@@ -55,6 +55,12 @@ struct TransientReport {
 [[nodiscard]] std::vector<Time> representative_instants(
     const Trace& trace, Time min_time, const std::vector<Time>& extra_dates);
 
+/// Same, written into `out` (overwritten, its storage reused) — the
+/// allocation-free form the certifier calls once per explored node.
+void representative_instants(const Trace& trace, Time min_time,
+                             const std::vector<Time>& extra_dates,
+                             std::vector<Time>& out);
+
 /// Simulates every single-processor failure of `schedule` at every critical
 /// instant. The failure-free prefix up to each instant is simulated once and
 /// forked per victim (Simulator::Branch), not replayed from scratch.

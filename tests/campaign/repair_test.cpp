@@ -87,7 +87,7 @@ TEST(Repair, ConfirmationSweepReusesCachedLeaves) {
   ASSERT_TRUE(report.certified);
 
   // Incremental re-certification evidence: the confirmation sweep re-runs
-  // the final certificate through the warm replay cache and serves a
+  // the final certificate through the warm leaf cache and serves a
   // nonzero fraction of its leaves from it, same verdict.
   ASSERT_TRUE(report.confirmation.has_value());
   EXPECT_TRUE(report.confirmation->certified);

@@ -1,4 +1,5 @@
-// Allocation accounting for the list-scheduler select loop.
+// Allocation accounting for the list-scheduler select loop and the
+// exhaustive certifier's exploration loop.
 //
 // The engine's contract (DESIGN.md "Scheduler performance"): tentative
 // evaluation allocates nothing — scratch timelines, evaluation caches, and
@@ -37,7 +38,9 @@
 #endif
 #endif
 
+#include "campaign/certify.hpp"
 #include "sched/heuristics.hpp"
+#include "workload/paper_examples.hpp"
 #include "workload/random_arch.hpp"
 
 namespace {
@@ -147,6 +150,48 @@ TEST(AllocationCount, ReferenceModeAlsoAllocationFreePerEvaluation) {
 
   EXPECT_LT(large_allocs, 3 * small_allocs)
       << "small=" << small_allocs << " large=" << large_allocs;
+}
+
+/// The certifier's steady state allocates nothing per explored node:
+/// every budget-exhausted leaf reloads one reused arena, every interior
+/// node reuses its depth's level (campaign/certify.cpp), and explorer
+/// scratch is recycled across slices. On the fig22 K=2+S=1 sweep at one
+/// thread the whole sweep must therefore allocate less than once per
+/// interior node — far less than once per branch — so one allocation per
+/// leaf (or per interior node) fails the check.
+TEST(AllocationCount, CertifySweepAllocatesLessThanOncePerInteriorNode) {
+#ifdef FTSCHED_ALLOC_COUNT_UNAVAILABLE
+  GTEST_SKIP() << "sanitizer runtime owns the global allocation operators";
+#endif
+  const workload::OwnedProblem ex = workload::paper_example2();
+  const Schedule schedule = schedule_solution2(ex.problem).value();
+  campaign::CertifySpec spec;
+  spec.max_failures = 2;
+  spec.max_silences = 1;
+  spec.threads = 1;
+
+  // Interior nodes: fault patterns with budget left, which children fork
+  // from (counted on a collecting run, outside the measurement).
+  campaign::CertifySpec collect = spec;
+  collect.collect_branches = true;
+  const campaign::CertifyReport all = campaign::certify(schedule, collect);
+  std::size_t interior = 0;
+  for (const campaign::CertifyBranch& branch : all.branches_list) {
+    const bool crash_left =
+        branch.dead_at_start.size() + branch.crashes.size() < 2;
+    if (crash_left || branch.silences.empty()) ++interior;
+  }
+  ASSERT_GT(interior, 0u);
+  ASSERT_GT(all.branches, 10 * interior);  // leaves dominate the sweep
+
+  g_allocations.store(0);
+  g_counting.store(true);
+  const campaign::CertifyReport report = campaign::certify(schedule, spec);
+  g_counting.store(false);
+  const std::size_t allocations = g_allocations.load();
+  EXPECT_EQ(report.branches, all.branches);
+  EXPECT_LT(allocations, interior)
+      << "branches=" << report.branches << " interior=" << interior;
 }
 
 }  // namespace

@@ -2,14 +2,22 @@
 // inject / fork / finish) must be indistinguishable from Simulator::run —
 // bit-identical traces, response times, and detections — no matter how
 // the same scenario is sliced into prefix + injections. The certifier and
-// the transient analyzer both rest on this.
+// the transient analyzer both rest on this. So does the certifier's leaf
+// path (fork_into a reused arena / inject / finish_summary), pinned
+// against finish(fork + inject) at every branch point.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "io/problem_format.hpp"
 #include "sched/heuristics.hpp"
+#include "sched/timeouts.hpp"
 #include "sim/simulator.hpp"
+#include "tuning/transient_analysis.hpp"
 #include "workload/paper_examples.hpp"
 #include "workload/random_arch.hpp"
 
@@ -261,6 +269,175 @@ TEST(ForkEquivalence, InjectSilentWindowGuards) {
                    SilentWindow{ProcessorId{0}, makespan * 0.75, makespan});
   const IterationResult result = simulator.finish(std::move(branch));
   EXPECT_FALSE(result.trace.events().empty());
+}
+
+/// The leaf digest must equal the traced finish of the same branch on
+/// every field the certifier reads.
+void expect_same_leaf(const IterationSummary& leaf,
+                      const IterationResult& reference) {
+  EXPECT_EQ(leaf.all_outputs_produced, reference.all_outputs_produced);
+  EXPECT_EQ(leaf.response_time, reference.response_time);  // exact
+  EXPECT_EQ(leaf.silence_deferral, reference.silence_deferral);
+  EXPECT_EQ(leaf.op_completions, reference.op_completions);
+  EXPECT_EQ(leaf.events_executed, reference.events_executed);
+  EXPECT_EQ(leaf.detected_failures, reference.detected_failures);
+}
+
+/// Static watch-chain deadlines (extra branch points of timeout-driven
+/// schedules, as in the certifier).
+std::vector<Time> chain_deadlines(const Schedule& schedule) {
+  const RoutingTable routing(*schedule.problem().architecture);
+  const TimeoutTable timeouts(schedule, routing);
+  std::vector<Time> out;
+  for (const TimeoutChain& chain : timeouts.chains()) {
+    for (const TimeoutEntry& entry : chain.entries) {
+      out.push_back(entry.deadline);
+    }
+  }
+  return out;
+}
+
+/// Drives the leaf path through `arena` at every branch point of several
+/// prefixes of `schedule` — the certifier's representative instants of
+/// each prefix's own leaf run — with every fault class on every victim;
+/// returns the number of leaves checked. The prefixes differ in state
+/// size (dynamic backup transfers after a crash, one or two silent
+/// windows), and the arena is reused across all of them and across
+/// schedules, so state a reload failed to overwrite would show. `traced`
+/// takes the interior-node path on the same branches (a traced fork_into
+/// finished in place): its trace must match too.
+std::size_t check_leaf_arena(const Schedule& schedule,
+                             Simulator::Branch& arena,
+                             Simulator::Branch& traced) {
+  const Simulator simulator(schedule);
+  const Time makespan = schedule.makespan();
+  const std::size_t procs =
+      schedule.problem().architecture->processor_count();
+  const std::size_t links = schedule.problem().architecture->link_count();
+  const std::vector<Time> deadlines = chain_deadlines(schedule);
+
+  std::vector<FailureScenario> prefixes;
+  {
+    FailureScenario two_windows;
+    two_windows.silent_windows.push_back(
+        SilentWindow{ProcessorId{0}, 0, makespan / 3});
+    two_windows.silent_windows.push_back(
+        SilentWindow{ProcessorId{1}, makespan / 4, makespan / 2});
+    prefixes.push_back(std::move(two_windows));
+  }
+  prefixes.push_back(FailureScenario::crash(ProcessorId{0}, makespan / 4));
+  prefixes.push_back({});
+  {
+    FailureScenario one_window;
+    one_window.silent_windows.push_back(
+        SilentWindow{
+            ProcessorId{static_cast<ProcessorId::underlying_type>(procs - 1)},
+            makespan / 5, makespan});
+    prefixes.push_back(std::move(one_window));
+  }
+
+  std::size_t leaves = 0;
+  IterationSummary leaf;
+  for (const FailureScenario& prefix : prefixes) {
+    // The dead-at-start leaf path: a from-scratch run into the arena.
+    simulator.run_summary(prefix, arena, leaf);
+    expect_same_leaf(leaf, simulator.run(prefix));
+
+    const std::vector<Time> points = representative_instants(
+        simulator.run(prefix).trace, 0, deadlines);
+    Simulator::Branch cursor = simulator.begin(prefix);
+    for (const Time c : points) {
+      simulator.advance_until(cursor, c);
+      const auto check = [&](const auto& fault) {
+        SCOPED_TRACE("branch point " + std::to_string(c));
+        Simulator::Branch child = cursor.fork();
+        simulator.inject(child, fault);
+        const IterationResult reference = simulator.finish(std::move(child));
+        cursor.fork_into(arena);
+        simulator.inject(arena, fault);
+        simulator.finish_summary(arena, leaf);
+        expect_same_leaf(leaf, reference);
+        EXPECT_TRUE(arena.trace().events().empty());
+        cursor.fork_into(traced, /*with_trace=*/true);
+        simulator.inject(traced, fault);
+        simulator.finish_summary(traced, leaf);
+        expect_same_leaf(leaf, reference);
+        EXPECT_TRUE(traced.trace().events() == reference.trace.events());
+        ++leaves;
+      };
+      for (std::size_t p = 0; p < procs; ++p) {
+        const ProcessorId victim{static_cast<ProcessorId::underlying_type>(p)};
+        check(FailureEvent{victim, c});
+        check(SilentWindow{victim, c, c + makespan / 3});
+      }
+      for (std::size_t l = 0; l < links; ++l) {
+        check(LinkFailureEvent{LinkId{static_cast<LinkId::underlying_type>(l)},
+                               c});
+      }
+    }
+  }
+  return leaves;
+}
+
+TEST(ForkEquivalence, LeafArenaMatchesTracedFinishAtEveryBranchPoint) {
+  const OwnedProblem ex1 = workload::paper_example1();
+  const OwnedProblem ex2 = workload::paper_example2();
+  std::ifstream file(std::string(FTSCHED_SOURCE_DIR) + "/data/certify_k2.ft");
+  ASSERT_TRUE(file.good());
+  std::stringstream text;
+  text << file.rdbuf();
+  Expected<OwnedProblem> k2 = io::read_problem(text.str());
+  ASSERT_TRUE(k2.has_value()) << k2.error().message;
+
+  // One pair of arenas for all three schedules: fig17 (Solution 1 on a
+  // bus, with timeouts and elected backup sends), fig22 (Solution 2
+  // point-to-point) and the 4-processor certify_k2 workload.
+  Simulator::Branch arena;
+  Simulator::Branch traced;
+  std::size_t leaves = 0;
+  {
+    SCOPED_TRACE("fig17");
+    leaves += check_leaf_arena(schedule_solution1(ex1.problem).value(), arena,
+                               traced);
+  }
+  {
+    SCOPED_TRACE("fig22");
+    leaves += check_leaf_arena(schedule_solution2(ex2.problem).value(), arena,
+                               traced);
+  }
+  {
+    SCOPED_TRACE("certify_k2");
+    leaves += check_leaf_arena(schedule_solution2(k2.value().problem).value(),
+                               arena, traced);
+  }
+  EXPECT_GT(leaves, 1000u);
+}
+
+TEST(ForkEquivalence, EmptyArenaIsADrainedBranch) {
+  const Simulator::Branch arena;
+  EXPECT_TRUE(is_infinite(arena.frontier()));
+  EXPECT_EQ(arena.executed_events(), 0u);
+  EXPECT_TRUE(arena.trace().events().empty());
+}
+
+TEST(ForkEquivalence, BeginIntoARecycledBranchMatchesAFreshOne) {
+  // Restarting a branch in place (the certifier's task roots) after it ran
+  // another, larger scenario to the end must equal a fresh begin().
+  const OwnedProblem ex = workload::paper_example1();
+  const Schedule schedule = schedule_solution1(ex.problem).value();
+  const Simulator simulator(schedule);
+  const Time makespan = schedule.makespan();
+  FailureScenario big = FailureScenario::crash(ProcessorId{0}, makespan / 4);
+  big.silent_windows.push_back(
+      SilentWindow{ProcessorId{1}, makespan / 5, makespan / 2});
+  Simulator::Branch recycled = simulator.begin(big);
+  IterationSummary ignored;
+  simulator.finish_summary(recycled, ignored);
+  for (const FailureScenario& scenario : interesting_scenarios(schedule)) {
+    simulator.begin(scenario, recycled);
+    expect_identical(simulator.finish(recycled.fork()),
+                     simulator.run(scenario));
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 // tradeoff_explorer go through io/cli_util: an operand that overflows is
 // refused with a diagnostic instead of saturating, and an output file that
 // cannot take the bytes is reported instead of claimed written.
+// schedule_tool shares campaign_tool's exit codes: 2 for bad usage, 3 for
+// an unreadable or malformed input file.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -9,6 +11,7 @@
 #include <array>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 
 namespace {
@@ -84,6 +87,46 @@ TEST(TradeoffExplorer, DefaultsStillRun) {
   EXPECT_EQ(out.status, 0) << out.output;
   EXPECT_TRUE(has(out, "3 processors, K=1, ccr=0.50"))
       << out.output;
+}
+
+TEST(ScheduleTool, MalformedInputFileExitsThreeNamingTheLine) {
+  std::ifstream example(std::string(FTSCHED_SOURCE_DIR) +
+                        "/data/example1.ft");
+  ASSERT_TRUE(example.good());
+  std::stringstream text;
+  text << example.rdbuf() << "deadline nan\n";
+  const std::string path = ::testing::TempDir() + "deadline_nan.ft";
+  std::ofstream(path) << text.str();
+  const Outcome out =
+      run(std::string(FTSCHED_SCHEDULE_TOOL) + " " + path + " --solution1");
+  EXPECT_EQ(out.status, 3) << out.output;
+  EXPECT_TRUE(has(out, "deadline_nan.ft: line ")) << out.output;
+  EXPECT_TRUE(has(out, ": bad deadline: nan")) << out.output;
+}
+
+TEST(ScheduleTool, MissingInputFileExitsThree) {
+  const Outcome out = run(std::string(FTSCHED_SCHEDULE_TOOL) +
+                          " no_such_problem_file.ft --solution1");
+  EXPECT_EQ(out.status, 3) << out.output;
+  EXPECT_TRUE(has(out, "no_such_problem_file.ft: cannot open file"))
+      << out.output;
+}
+
+TEST(ScheduleTool, UnknownFlagExitsTwoWithTheExitCodes) {
+  const Outcome out =
+      run(std::string(FTSCHED_SCHEDULE_TOOL) + " --example1 --bogus");
+  EXPECT_EQ(out.status, 2) << out.output;
+  EXPECT_TRUE(has(out, "usage: schedule_tool")) << out.output;
+  EXPECT_TRUE(has(out, "3 input file unreadable or")) << out.output;
+}
+
+TEST(ScheduleTool, WriteToFullDeviceReportsCannotWrite) {
+  std::ifstream probe("/dev/full");
+  if (!probe.good()) GTEST_SKIP() << "/dev/full not available";
+  const Outcome out = run(std::string(FTSCHED_SCHEDULE_TOOL) +
+                          " --example1 --json -o /dev/full");
+  EXPECT_EQ(out.status, 2) << out.output;
+  EXPECT_TRUE(has(out, "cannot write /dev/full")) << out.output;
 }
 
 }  // namespace
