@@ -14,20 +14,7 @@
 //                   --response-bound 42.5
 //   ./campaign_tool problem.ft --solution2 --claim-k 1 --certify-links 1
 //                   --repair --repair-out repair.json
-//
-// --certify switches from random sampling to the exhaustive certifier
-// (campaign/certify.hpp): every dead-at-start subset and every
-// representative mid-run fault sequence within the budgets is simulated
-// via shared-prefix forking. --certify-links L and --certify-silences S
-// (each implies --certify) extend the sweep beyond the paper's §5.1
-// processor contract with up to L link deaths and S fail-silent windows;
-// --response-bound tightens the response envelope the oracle and the
-// certifier check (a branch's envelope widens by the longest injected
-// silent window). Counterexamples are shrunk to a minimal serialized
-// reproducer automatically.
-//
-// Certification as a service (src/service):
-//
+//   ./campaign_tool --example1 --solution1 --frontier --frontier-out f.json
 //   ./campaign_tool problem.ft --solution2 --plan-key
 //   ./campaign_tool problem.ft --solution2 --certify-shard 0/2
 //                   --stream-out shard0.ndjson
@@ -36,40 +23,21 @@
 //   ./campaign_tool --serve --cache-size 64            # stdin/stdout pipe
 //   ./campaign_tool --serve-socket /tmp/certifyd.sock  # certifyd daemon
 //
-// --plan-key prints the canonical plan fingerprint — the cache identity a
-// certifyd server would use for this (schedule, budgets) pair — so users
-// can check cache identity offline. --certify-shard I/N runs only the
-// tasks with index % N == I and streams partial-certificate NDJSON
-// records; --merge-stream folds complete worker streams back into a
-// certificate byte-identical to single-process --certify. --serve /
-// --serve-socket run the long-lived certifyd loop: line-delimited JSON
-// requests (submit/status/shutdown), streamed progress/counterexample/
-// result records, LRU plan-key result cache, per-request deadlines, and
-// graceful SIGINT drain.
-//
-// --repair runs the counterexample-guided repair loop (campaign/repair.hpp)
-// instead of certifying once: refute, shrink, localize the root blocker,
-// apply one targeted scheduling-constraint move, re-certify incrementally
-// through the leaf cache — until the schedule certifies or the move/round
-// budget runs out. The JSON repair log (--repair-out) records every move
-// and its re-certification verdict and is byte-identical for any --threads.
-//
-// Exit status: 0 = campaign clean (replay satisfied the oracle / schedule
-// certified / repair converged), 1 = oracle violations (certification or
-// repair refuted), 2 = usage error, 3 = input file unreadable or malformed
-// (diagnostic names the file and the offending line).
+// One function per mode below; run() picks the mode by the precedence
+// serve > plan-key > shard > merge > frontier > replay > repair > certify
+// > campaign, so --repair wins over the --certify that --certify-links
+// implies. usage() documents every flag and the exit status; the engines
+// behind the modes are campaign/certify.hpp, campaign/frontier.hpp,
+// campaign/repair.hpp and src/service.
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
+#include <exception>
 #include <fstream>
-#include <stdexcept>
 #include <iostream>
-#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
-
-#include <exception>
 
 #include "campaign/certify.hpp"
 #include "campaign/frontier.hpp"
@@ -77,7 +45,6 @@
 #include "campaign/runner.hpp"
 #include "campaign/shrink.hpp"
 #include "io/cli_util.hpp"
-#include "io/problem_format.hpp"
 #include "io/scenario_format.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/span.hpp"
@@ -92,6 +59,8 @@
 using namespace ftsched;
 
 namespace {
+
+constexpr const char* kTool = "campaign_tool";
 
 int usage() {
   std::fprintf(
@@ -160,73 +129,78 @@ int usage() {
       "connections concurrently (default 1, sequential) against the one\n"
       "shared cache; service.* metrics merge per request, so totals are\n"
       "independent of how connections interleave.\n"
-      "--metrics-out writes the campaign's merged domain metrics as JSON\n"
-      "(deterministic for a given seed, any thread count); --trace-out\n"
-      "writes the run's profiling spans as Chrome trace-event JSON (open\n"
-      "in chrome://tracing or https://ui.perfetto.dev).\n"
+      "--metrics-out writes the merged domain metrics of a campaign,\n"
+      "certify, repair or merge run as JSON (deterministic for a given\n"
+      "seed, any thread count); --trace-out writes any mode's profiling\n"
+      "spans as Chrome trace-event JSON (open in chrome://tracing or\n"
+      "https://ui.perfetto.dev). An output flag the selected mode does\n"
+      "not write is a usage error.\n"
       "\n"
-      "exit status: 0 clean/certified/repaired, 1 refuted, 2 usage error,\n"
-      "3 input file unreadable or malformed (diagnostic names the file\n"
-      "and the offending line).\n");
+      "exit status: 0 clean/certified/repaired, 1 refuted, 2 usage error\n"
+      "(an unwritable output file included), 3 input file unreadable or\n"
+      "malformed (diagnostic names the file and the offending line).\n");
   return 2;
 }
 
-using io::write_file;
+/// The modes in selection order (see select_mode).
+enum class Mode {
+  kServe, kPlanKey, kShard, kMerge, kFrontier, kReplay, kRepair, kCertify,
+  kCampaign
+};
 
-/// Out-of-range operands ride the tool's existing exit-3 diagnostic path:
-/// main() catches, prints "campaign_tool: <reason>" and returns 3 — the
-/// same treatment a malformed input file gets, because the operand LOOKED
-/// numeric and silently saturating it is the bug these wrappers fix.
-[[noreturn]] void out_of_range(const char* flag, const char* text) {
-  throw std::invalid_argument(std::string(flag) + " operand \"" + text +
-                              "\" is out of range");
-}
+const char* const kModeNames[] = {"serve",  "plan-key", "shard",
+                                  "merge",  "frontier", "replay",
+                                  "repair", "certify",  "campaign"};
 
-bool parse_number(const char* flag, const char* text, long& out) {
-  switch (io::parse_number(text, out)) {
-    case io::ParseStatus::kOk: return true;
-    case io::ParseStatus::kOutOfRange: out_of_range(flag, text);
-    case io::ParseStatus::kMalformed: break;
+/// Every flag, parsed once.
+struct Options {
+  io::ProblemFlags problem;
+  campaign::CampaignOptions campaign = io::default_campaign_options();
+  bool shrink = false;
+  // The modes the flags ask for; select_mode picks one.
+  bool certify = false;
+  bool repair = false;
+  bool frontier = false;
+  bool plan_key = false;
+  bool shard = false;
+  bool serve = false;
+  int certify_links = 0;
+  int certify_silences = 0;
+  int repair_rounds = campaign::RepairSpec{}.max_rounds;
+  campaign::FrontierSpec frontier_spec;
+  campaign::CertifyShardSpec shard_spec;
+  std::vector<std::string> merge_streams;
+  std::string replay_file;
+  service::ServeOptions serve_options;
+  std::string serve_socket;
+  // Output files, empty when not requested.
+  std::string certify_out;
+  std::string repair_out;
+  std::string frontier_out;
+  std::string stream_out;
+  std::string metrics_out;
+  std::string trace_out;
+};
+
+/// kOk -> true, kMalformed -> false (a usage error). An out-of-range
+/// operand throws: main() prints "campaign_tool: <reason>" and exits 3,
+/// the treatment a malformed input file gets, because the operand LOOKED
+/// numeric and silently saturating it would run a different command.
+bool accepted(io::ParseStatus status, const std::string& flag,
+              const char* text) {
+  if (status == io::ParseStatus::kOutOfRange) {
+    throw std::invalid_argument(flag + " operand \"" + text +
+                                "\" is out of range");
   }
-  return false;
+  return status == io::ParseStatus::kOk;
 }
 
-bool parse_fraction(const char* flag, const char* text, double& out) {
-  switch (io::parse_fraction(text, out)) {
-    case io::ParseStatus::kOk: return true;
-    case io::ParseStatus::kOutOfRange: out_of_range(flag, text);
-    case io::ParseStatus::kMalformed: break;
-  }
-  return false;
-}
-
-bool parse_time(const char* flag, const char* text, double& out) {
-  switch (io::parse_time(text, out)) {
-    case io::ParseStatus::kOk: return true;
-    case io::ParseStatus::kOutOfRange: out_of_range(flag, text);
-    case io::ParseStatus::kMalformed: break;
-  }
-  return false;
-}
-
-/// Parses a "--certify-shard I/N" operand.
-bool parse_shard(const char* text, campaign::CertifyShardSpec& out) {
-  std::size_t index = 0;
-  std::size_t count = 1;
-  switch (io::parse_shard(text, index, count)) {
-    case io::ParseStatus::kOk:
-      out.shard_index = index;
-      out.shard_count = count;
-      return true;
-    case io::ParseStatus::kOutOfRange: out_of_range("--certify-shard", text);
-    case io::ParseStatus::kMalformed: break;
-  }
-  return false;
-}
-
-/// Parses a "--latency NAME:SRC:SINK:BOUND" operand (names resolve against
-/// the schedule's algorithm graph later, like every certifier entry point).
-bool parse_latency(const char* text, campaign::LatencyConstraint& out) {
+/// Appends a "--latency NAME:SRC:SINK:BOUND" operand (names resolve
+/// against the schedule's algorithm graph later, like every certifier
+/// entry point); false for a missing or malformed operand.
+bool parse_latency(const char* text,
+                   std::vector<campaign::LatencyConstraint>& out) {
+  if (text == nullptr) return false;
   const std::string s = text;
   const std::size_t a = s.find(':');
   if (a == std::string::npos) return false;
@@ -234,16 +208,251 @@ bool parse_latency(const char* text, campaign::LatencyConstraint& out) {
   if (b == std::string::npos) return false;
   const std::size_t c = s.find(':', b + 1);
   if (c == std::string::npos) return false;
-  out.name = s.substr(0, a);
-  out.source_op = s.substr(a + 1, b - a - 1);
-  out.sink_op = s.substr(b + 1, c - b - 1);
-  if (out.name.empty() || out.source_op.empty() || out.sink_op.empty()) {
+  campaign::LatencyConstraint latency;
+  latency.name = s.substr(0, a);
+  latency.source_op = s.substr(a + 1, b - a - 1);
+  latency.sink_op = s.substr(b + 1, c - b - 1);
+  if (latency.name.empty() || latency.source_op.empty() ||
+      latency.sink_op.empty()) {
     return false;
   }
-  double bound = 0;
-  if (!parse_time("--latency", s.c_str() + c + 1, bound)) return false;
-  out.bound = bound;
+  const char* bound = s.c_str() + c + 1;
+  if (!accepted(io::parse_time(bound, latency.bound), "--latency", bound)) {
+    return false;
+  }
+  out.push_back(latency);
   return true;
+}
+
+/// The argv cursor. Operand readers consume the next argument and are
+/// false when it is missing or malformed.
+struct Args {
+  Args(int count, char** values) : argc(count), argv(values) {}
+
+  int argc;
+  char** argv;
+  int i = 1;
+  std::string flag;
+
+  /// The next argument, or null when `flag` is the last one.
+  const char* operand() { return i + 1 < argc ? argv[++i] : nullptr; }
+
+  template <typename Value>
+  bool read(io::ParseStatus (*parse)(const char*, Value&), Value& out) {
+    const char* text = operand();
+    return text != nullptr && accepted(parse(text, out), flag, text);
+  }
+  /// An integer operand of at least `min`, into any integer field.
+  template <typename Int>
+  bool number(Int& out, long min = 0) {
+    long n = 0;
+    if (!read(io::parse_number, n) || n < min) return false;
+    out = static_cast<Int>(n);
+    return true;
+  }
+  bool fraction(double& out) { return read(io::parse_fraction, out); }
+  bool time(double& out) { return read(io::parse_time, out); }
+  bool path(std::string& out) {
+    const char* text = operand();
+    if (text != nullptr) out = text;
+    return text != nullptr;
+  }
+  bool shard(campaign::CertifyShardSpec& out) {
+    const char* text = operand();
+    return text != nullptr &&
+           accepted(io::parse_shard(text, out.shard_index, out.shard_count),
+                    flag, text);
+  }
+};
+
+/// Assigns and reports success, so a flag that sets a field is one line.
+template <typename Field, typename Value>
+bool set(Field& field, Value value) {
+  field = value;
+  return true;
+}
+
+/// One flag other than the problem flags; false when it is unknown or its
+/// operand is missing or malformed.
+bool parse_flag(Args& args, Options& o) {
+  campaign::CampaignOptions& c = o.campaign;
+  campaign::FrontierSpec& frontier = o.frontier_spec;
+  const std::string& f = args.flag;
+  if (f == "--seed") return args.number(c.seed);
+  if (f == "--scenarios") return args.number(c.scenarios);
+  if (f == "--threads") return args.number(c.threads);
+  if (f == "--claim-k") {
+    return args.number(c.oracle.claimed_tolerance) &&
+           set(c.spec.max_processor_failures, c.oracle.claimed_tolerance);
+  }
+  if (f == "--iterations") return args.number(c.spec.max_iterations, 1);
+  if (f == "--overbudget") return args.fraction(c.spec.over_budget_fraction);
+  if (f == "--links") return set(c.spec.link_failure_probability, 0.25);
+  if (f == "--silence") return set(c.spec.silence_probability, 0.25);
+  if (f == "--suspects") return set(c.spec.suspect_probability, 0.25);
+  if (f == "--shrink") return set(o.shrink, true);
+  if (f == "--response-bound") return args.time(c.oracle.response_bound);
+  // Chain constraints apply everywhere a verdict is formed: the replay /
+  // shrink oracle, certification, repair screening and the service modes.
+  if (f == "--latency") {
+    return parse_latency(args.operand(), c.oracle.latency_constraints);
+  }
+  if (f == "--replay") return args.path(o.replay_file);
+  if (f == "--certify") return set(o.certify, true);
+  if (f == "--certify-links") {
+    return set(o.certify, true) && args.number(o.certify_links);
+  }
+  if (f == "--certify-silences") {
+    return set(o.certify, true) && args.number(o.certify_silences);
+  }
+  if (f == "--certify-out") return args.path(o.certify_out);
+  if (f == "--repair") return set(o.repair, true);
+  if (f == "--repair-rounds") {
+    return set(o.repair, true) && args.number(o.repair_rounds);
+  }
+  if (f == "--repair-out") {
+    return set(o.repair, true) && args.path(o.repair_out);
+  }
+  if (f == "--frontier") return set(o.frontier, true);
+  if (f == "--frontier-k") {
+    return set(o.frontier, true) && args.number(frontier.max_failures);
+  }
+  if (f == "--frontier-links") {
+    return set(o.frontier, true) && args.number(frontier.max_link_failures);
+  }
+  if (f == "--frontier-silences") {
+    return set(o.frontier, true) && args.number(frontier.max_silences);
+  }
+  if (f == "--frontier-out") {
+    return set(o.frontier, true) && args.path(o.frontier_out);
+  }
+  if (f == "--plan-key") return set(o.plan_key, true);
+  if (f == "--certify-shard") {
+    return set(o.shard, true) && args.shard(o.shard_spec);
+  }
+  if (f == "--stream-out") return args.path(o.stream_out);
+  if (f == "--merge-stream") {
+    return args.path(o.merge_streams.emplace_back());
+  }
+  if (f == "--serve") return set(o.serve, true);
+  if (f == "--serve-socket") {
+    return set(o.serve, true) && args.path(o.serve_socket);
+  }
+  if (f == "--cache-size") {
+    return args.number(o.serve_options.cache_capacity);
+  }
+  if (f == "--serve-threads") {
+    return args.number(o.serve_options.serve_threads, 1);
+  }
+  if (f == "--metrics-out") return args.path(o.metrics_out);
+  if (f == "--trace-out") return args.path(o.trace_out);
+  return false;
+}
+
+/// argv -> Options; false on a usage error.
+bool parse(int argc, char** argv, Options& o) {
+  for (Args args(argc, argv); args.i < argc; ++args.i) {
+    args.flag = argv[args.i];
+    if (!o.problem.parse(args.flag) && !parse_flag(args, o)) return false;
+  }
+  return true;
+}
+
+/// The first mode the flags ask for, in today's precedence: --repair wins
+/// over the --certify that --certify-links implies.
+Mode select_mode(const Options& o) {
+  if (o.serve) return Mode::kServe;
+  if (o.plan_key) return Mode::kPlanKey;
+  if (o.shard) return Mode::kShard;
+  if (!o.merge_streams.empty()) return Mode::kMerge;
+  if (o.frontier) return Mode::kFrontier;
+  if (!o.replay_file.empty()) return Mode::kReplay;
+  if (o.repair) return Mode::kRepair;
+  if (o.certify) return Mode::kCertify;
+  return Mode::kCampaign;
+}
+
+/// Every mode honours --trace-out; any other output flag the mode does not
+/// write is refused instead of silently ignored.
+bool outputs_written(const Options& o, Mode mode) {
+  const bool certificate = mode == Mode::kCertify || mode == Mode::kMerge;
+  const bool metrics =
+      certificate || mode == Mode::kRepair || mode == Mode::kCampaign;
+  const struct {
+    const char* flag;
+    const std::string& path;
+    bool written;
+  } outputs[] = {
+      {"--certify-out", o.certify_out, certificate},
+      {"--repair-out", o.repair_out, mode == Mode::kRepair},
+      {"--frontier-out", o.frontier_out, mode == Mode::kFrontier},
+      {"--stream-out", o.stream_out, mode == Mode::kShard},
+      {"--metrics-out", o.metrics_out, metrics},
+  };
+  for (const auto& out : outputs) {
+    if (!out.path.empty() && !out.written) {
+      std::fprintf(stderr, "campaign_tool: %s is not written in %s mode\n",
+                   out.flag, kModeNames[static_cast<int>(mode)]);
+      return false;
+    }
+  }
+  return true;
+}
+
+/// The certification budgets plan-key, shard, merge, repair and certify
+/// share, so --plan-key prints exactly the key a certifyd submission with
+/// these flags would look up.
+campaign::CertifySpec certify_spec(const Options& o) {
+  campaign::CertifySpec spec;
+  spec.max_failures = o.campaign.oracle.claimed_tolerance;
+  spec.max_link_failures = o.certify_links;
+  spec.max_silences = o.certify_silences;
+  spec.response_bound = o.campaign.oracle.response_bound;
+  spec.latency_constraints = o.campaign.oracle.latency_constraints;
+  spec.threads = o.campaign.threads;
+  return spec;
+}
+
+/// Writes an output file the user may not have asked for: true when
+/// `path` is empty or the write succeeded.
+bool write_optional(const std::string& path, const std::string& content) {
+  return path.empty() || io::write_file(path, content);
+}
+
+bool write_metrics(const Options& o, const obs::MetricsSnapshot& metrics) {
+  return write_optional(o.metrics_out, metrics.to_json());
+}
+
+/// Prints a certify or merge report and writes its --certify-out and
+/// --metrics-out files, so both modes emit the same bytes.
+bool print_certificate(const Options& o, const campaign::CertifyReport& report,
+                       const ArchitectureGraph& arch) {
+  std::fputs(report.to_text(arch).c_str(), stdout);
+  return write_optional(o.certify_out, report.to_json(arch)) &&
+         write_metrics(o, report.metrics);
+}
+
+void print_reproducer(const char* title, const MissionPlan& plan,
+                      const ArchitectureGraph& arch) {
+  std::printf("\n# %s (%zu events)\n%s", title, plan.event_count(),
+              io::write_scenario(plan, arch).c_str());
+}
+
+/// Shrinks a plan the oracle rejects to a minimal reproducer and prints it
+/// with the violations it still shows.
+void shrink_and_print(const Schedule& sched, const campaign::OracleSpec& spec,
+                      const MissionPlan& plan) {
+  const Simulator simulator(sched);
+  const campaign::Oracle oracle(sched, spec);
+  const campaign::ShrinkResult shrunk =
+      campaign::shrink(simulator, oracle, plan);
+  std::printf(
+      "\n# shrunk reproducer (%zu -> %zu events, %zu re-simulations)\n%s",
+      shrunk.initial_events, shrunk.final_events, shrunk.simulations,
+      io::write_scenario(shrunk.plan, *sched.problem().architecture).c_str());
+  for (const std::string& violation : shrunk.violations) {
+    std::printf("# still fails: %s\n", violation.c_str());
+  }
 }
 
 /// SIGINT sets the flag; certifyd drains the in-flight request and exits.
@@ -253,25 +462,225 @@ std::atomic<bool> g_stop{false};
 
 extern "C" void handle_sigint(int) { g_stop.store(true); }
 
-void install_sigint_drain() {
+int run_serve(const Options& o) {
+  service::ServeOptions serve_options = o.serve_options;
+  serve_options.threads = o.campaign.threads;
+  serve_options.stop = &g_stop;
   struct sigaction action {};
   action.sa_handler = handle_sigint;
   sigemptyset(&action.sa_mask);
   action.sa_flags = 0;
   sigaction(SIGINT, &action, nullptr);
+  if (!o.serve_socket.empty()) {
+    return service::serve_socket(o.serve_socket, serve_options);
+  }
+  return service::serve_lines(std::cin, std::cout, serve_options);
 }
 
-/// Input-file failure (unreadable or malformed): one line naming the file
-/// and — for parse errors — the offending line, distinct exit code 3 so
-/// scripts can tell "bad input" from "schedule refuted" (1) and "bad
-/// usage" (2).
-int input_error(const std::string& path, const std::string& message) {
-  std::fprintf(stderr, "campaign_tool: %s: %s\n", path.c_str(),
-               message.c_str());
-  return 3;
+int run_plan_key(const Options& o, const Schedule& sched) {
+  // Bare key on stdout: scripts compare two problems' cache identity.
+  std::printf("%s\n",
+              service::plan_key_string(sched, certify_spec(o)).c_str());
+  return 0;
 }
 
-int run(int argc, char** argv);
+int run_shard(const Options& o, const Schedule& sched) {
+  std::ofstream file;
+  if (!o.stream_out.empty()) file.open(o.stream_out);
+  if (!o.stream_out.empty() && !file) {
+    std::fprintf(stderr, "cannot write %s\n", o.stream_out.c_str());
+    return 2;
+  }
+  service::OstreamSink sink(o.stream_out.empty() ? std::cout : file);
+  const service::StreamShardResult result =
+      service::certify_stream(sched, certify_spec(o), o.shard_spec, sink);
+  std::fprintf(stderr, "shard %zu/%zu: %zu tasks streamed\n",
+               o.shard_spec.shard_index, o.shard_spec.shard_count,
+               result.tasks_emitted);
+  // A disk-full or I/O error shows only in the stream state; without this
+  // check a truncated stream would be reported as a finished shard.
+  if (!o.stream_out.empty() && !file.flush().good()) {
+    std::fprintf(stderr, "cannot write %s\n", o.stream_out.c_str());
+    return 2;
+  }
+  return result.completed ? 0 : 1;
+}
+
+int run_merge(const Options& o, const Schedule& sched) {
+  std::vector<std::string> streams;
+  for (const std::string& path : o.merge_streams) {
+    Expected<std::string> text = io::read_file(path);
+    if (!text) return io::input_error(kTool, path, text.error().message);
+    streams.push_back(std::move(text).value());
+  }
+  const Expected<campaign::CertifyReport> merged =
+      service::merge_streams(sched, certify_spec(o), streams);
+  if (!merged) {
+    return io::input_error(kTool, o.merge_streams.front(),
+                           merged.error().message);
+  }
+  if (!print_certificate(o, *merged, *sched.problem().architecture)) return 2;
+  return merged->certified ? 0 : 1;
+}
+
+int run_frontier(const Options& o, const Schedule& sched) {
+  campaign::FrontierSpec spec = o.frontier_spec;
+  spec.response_bound = o.campaign.oracle.response_bound;
+  spec.latency_constraints = o.campaign.oracle.latency_constraints;
+  spec.threads = o.campaign.threads;
+  const campaign::FrontierReport report =
+      campaign::frontier_sweep(sched, spec);
+  const ArchitectureGraph& arch = *sched.problem().architecture;
+  std::fputs(report.to_text(arch).c_str(), stdout);
+  if (!write_optional(o.frontier_out, report.to_json(arch))) return 2;
+  // The frontier is a capability map, not a pass/fail gate; the exit code
+  // reports only whether the fault-free baseline (0, 0, 0) holds.
+  return !report.points.empty() && report.points.front().certified ? 0 : 1;
+}
+
+int run_replay(const Options& o, const Schedule& sched) {
+  const ArchitectureGraph& arch = *sched.problem().architecture;
+  const Expected<std::string> text = io::read_file(o.replay_file);
+  if (!text) {
+    return io::input_error(kTool, o.replay_file, text.error().message);
+  }
+  const Expected<MissionPlan> plan = io::read_scenario(*text, arch);
+  if (!plan) {
+    return io::input_error(kTool, o.replay_file, plan.error().message);
+  }
+  const campaign::Oracle oracle(sched, o.campaign.oracle);
+  const MissionResult mission = run_mission(sched, *plan);
+  std::fputs(mission.to_text(arch).c_str(), stdout);
+  const campaign::Verdict verdict = oracle.judge(*plan, mission);
+  if (verdict.ok()) {
+    std::printf("replay: oracle satisfied (within contract: %s)\n",
+                verdict.within_contract ? "yes" : "no");
+    return 0;
+  }
+  for (const std::string& violation : verdict.violations) {
+    std::printf("replay violation: %s\n", violation.c_str());
+  }
+  return 1;
+}
+
+int run_repair(const Options& o, const Schedule& sched) {
+  campaign::RepairSpec spec;
+  spec.certify = certify_spec(o);
+  spec.max_rounds = o.repair_rounds;
+  const campaign::RepairReport report =
+      campaign::repair(sched.problem(), o.problem.kind, spec);
+  const AlgorithmGraph& graph = *sched.problem().algorithm;
+  const ArchitectureGraph& arch = *sched.problem().architecture;
+  std::fputs(report.to_text(graph, arch).c_str(), stdout);
+  if (!write_optional(o.repair_out, report.to_json(graph, arch)) ||
+      !write_metrics(o, report.metrics)) {
+    return 2;
+  }
+  if (report.certified) return 0;
+  if (!report.rounds.empty() && !report.rounds.back().certified) {
+    print_reproducer("final counterexample",
+                     report.rounds.back().counterexample, arch);
+  }
+  return 1;
+}
+
+int run_certify(const Options& o, const Schedule& sched) {
+  const campaign::CertifyReport report =
+      campaign::certify(sched, certify_spec(o));
+  const ArchitectureGraph& arch = *sched.problem().architecture;
+  if (!print_certificate(o, report, arch)) return 2;
+  if (report.certified) return 0;
+
+  // Shrink the first counterexample to a minimal serialized reproducer
+  // (the certifier's branches are already canonical, but the shrinker
+  // often drops dead-at-start processors that were not load-bearing).
+  const MissionPlan plan =
+      campaign::counterexample_plan(report.counterexamples.front());
+  print_reproducer("counterexample reproducer", plan, arch);
+  // The shrink oracle must judge link faults within the certified budget
+  // as within-contract, or a link counterexample would satisfy it and the
+  // shrinker's precondition (oracle rejects the plan) would fail.
+  campaign::OracleSpec oracle = o.campaign.oracle;
+  oracle.claimed_link_tolerance = o.certify_links;
+  shrink_and_print(sched, oracle, plan);
+  return 1;
+}
+
+int run_campaign(const Options& o, const Schedule& sched) {
+  const campaign::CampaignReport report =
+      campaign::run_campaign(sched, o.campaign);
+  const ArchitectureGraph& arch = *sched.problem().architecture;
+  std::fputs(report.to_text(arch).c_str(), stdout);
+  if (!write_metrics(o, report.metrics)) return 2;
+  if (report.violations.empty()) return 0;
+
+  const campaign::CampaignViolation& first = report.violations.front();
+  std::printf("\nfirst violation: scenario %zu (seed %llu)\n", first.index,
+              static_cast<unsigned long long>(first.seed));
+  for (const std::string& detail : first.details) {
+    std::printf("  %s\n", detail.c_str());
+  }
+  if (first.plan.event_count() == 0) return 1;
+  print_reproducer("original reproducer", first.plan, arch);
+  if (o.shrink) shrink_and_print(sched, o.campaign.oracle, first.plan);
+  return 1;
+}
+
+/// Schedules the problem and runs the selected mode on it.
+int run_mode(const Options& o, Mode mode, const Problem& problem) {
+  const Expected<Schedule> result = schedule(problem, o.problem.kind);
+  if (!result) {
+    io::report_scheduling_failure(result.error());
+    return 2;
+  }
+  const Schedule& sched = *result;
+  // Shard mode keeps stdout clean: with no --stream-out the NDJSON records
+  // themselves go there; --plan-key prints the bare key.
+  if (mode != Mode::kShard && mode != Mode::kPlanKey) {
+    std::printf("schedule: %s, K=%d, makespan %s\n",
+                to_string(sched.kind()).c_str(), sched.failures_tolerated(),
+                time_to_string(sched.makespan()).c_str());
+  }
+  switch (mode) {
+    case Mode::kPlanKey: return run_plan_key(o, sched);
+    case Mode::kShard: return run_shard(o, sched);
+    case Mode::kMerge: return run_merge(o, sched);
+    case Mode::kFrontier: return run_frontier(o, sched);
+    case Mode::kReplay: return run_replay(o, sched);
+    case Mode::kRepair: return run_repair(o, sched);
+    case Mode::kCertify: return run_certify(o, sched);
+    case Mode::kServe:  // served by run() before any problem is loaded
+    case Mode::kCampaign: break;
+  }
+  return run_campaign(o, sched);
+}
+
+/// Runs `body` with the profiler on when --trace-out is given and writes
+/// the recorded spans as Chrome trace-event JSON afterwards.
+template <typename Body>
+int traced(const Options& o, Body body) {
+  if (o.trace_out.empty()) return body();
+  obs::Profiler::global().enable(true);
+  const int status = body();
+  obs::Profiler::global().enable(false);
+  const std::string trace =
+      obs::chrome_trace_from_spans(obs::Profiler::global().drain());
+  return io::write_file(o.trace_out, trace) ? status : 2;
+}
+
+int run(int argc, char** argv) {
+  Options o;
+  if (!parse(argc, argv, o)) return usage();
+  const Mode mode = select_mode(o);
+  if (!outputs_written(o, mode)) return 2;
+  if (mode == Mode::kServe) return traced(o, [&] { return run_serve(o); });
+  if (!o.problem.given()) return usage();
+  const Expected<workload::OwnedProblem> owned = o.problem.load();
+  if (!owned) {
+    return io::input_error(kTool, o.problem.file, owned.error().message);
+  }
+  return traced(o, [&] { return run_mode(o, mode, owned->problem); });
+}
 
 }  // namespace
 
@@ -285,466 +694,3 @@ int main(int argc, char** argv) {
     return 3;
   }
 }
-
-namespace {
-
-int run(int argc, char** argv) {
-  std::string input;
-  std::string replay_file;
-  std::string metrics_out;
-  std::string trace_out;
-  HeuristicKind kind = HeuristicKind::kSolution1;
-  bool example1 = false;
-  bool example2 = false;
-  bool do_shrink = false;
-  bool do_certify = false;
-  bool do_repair = false;
-  long certify_links = 0;
-  long certify_silences = 0;
-  long repair_rounds = campaign::RepairSpec{}.max_rounds;
-  std::string certify_out;
-  std::string repair_out;
-  bool do_frontier = false;
-  long frontier_k = -1;
-  long frontier_links = campaign::FrontierSpec{}.max_link_failures;
-  long frontier_silences = campaign::FrontierSpec{}.max_silences;
-  std::string frontier_out;
-  campaign::LatencyConstraint latency;
-  std::vector<campaign::LatencyConstraint> latency_constraints;
-  bool do_plan_key = false;
-  bool do_shard = false;
-  bool do_serve = false;
-  campaign::CertifyShardSpec shard;
-  std::string stream_out;
-  std::vector<std::string> merge_streams;
-  std::string serve_socket_path;
-  long cache_size = 64;
-  long serve_threads = 1;
-  campaign::CampaignOptions options;
-  // An interesting default mix: short missions, some over-budget attacks,
-  // occasional benign silences and wrong suspicions. Link faults stay
-  // opt-in (--links) — they are outside the paper's failure hypothesis.
-  options.spec.max_iterations = 3;
-  options.spec.over_budget_fraction = 0.15;
-  options.spec.silence_probability = 0.10;
-  options.spec.suspect_probability = 0.10;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    long number = 0;
-    double fraction = 0;
-    if (arg == "--example1") {
-      example1 = true;
-    } else if (arg == "--example2") {
-      example2 = true;
-    } else if (arg == "--base") {
-      kind = HeuristicKind::kBase;
-    } else if (arg == "--solution1") {
-      kind = HeuristicKind::kSolution1;
-    } else if (arg == "--solution2") {
-      kind = HeuristicKind::kSolution2;
-    } else if (arg == "--seed" && i + 1 < argc &&
-               parse_number("--seed", argv[++i], number)) {
-      options.seed = static_cast<std::uint64_t>(number);
-    } else if (arg == "--scenarios" && i + 1 < argc &&
-               parse_number("--scenarios", argv[++i], number)) {
-      options.scenarios = static_cast<std::size_t>(number);
-    } else if (arg == "--threads" && i + 1 < argc &&
-               parse_number("--threads", argv[++i], number)) {
-      options.threads = static_cast<unsigned>(number);
-    } else if (arg == "--claim-k" && i + 1 < argc &&
-               parse_number("--claim-k", argv[++i], number)) {
-      options.oracle.claimed_tolerance = static_cast<int>(number);
-      options.spec.max_processor_failures = static_cast<int>(number);
-    } else if (arg == "--iterations" && i + 1 < argc &&
-               parse_number("--iterations", argv[++i], number) &&
-               number >= 1) {
-      options.spec.max_iterations = static_cast<int>(number);
-    } else if (arg == "--overbudget" && i + 1 < argc &&
-               parse_fraction("--overbudget", argv[++i], fraction)) {
-      options.spec.over_budget_fraction = fraction;
-    } else if (arg == "--links") {
-      options.spec.link_failure_probability = 0.25;
-    } else if (arg == "--silence") {
-      options.spec.silence_probability = 0.25;
-    } else if (arg == "--suspects") {
-      options.spec.suspect_probability = 0.25;
-    } else if (arg == "--shrink") {
-      do_shrink = true;
-    } else if (arg == "--certify") {
-      do_certify = true;
-    } else if (arg == "--certify-links" && i + 1 < argc &&
-               parse_number("--certify-links", argv[++i], number)) {
-      certify_links = number;
-      do_certify = true;
-    } else if (arg == "--certify-silences" && i + 1 < argc &&
-               parse_number("--certify-silences", argv[++i], number)) {
-      certify_silences = number;
-      do_certify = true;
-    } else if (arg == "--response-bound" && i + 1 < argc &&
-               parse_time("--response-bound", argv[++i], fraction)) {
-      options.oracle.response_bound = fraction;
-    } else if (arg == "--latency" && i + 1 < argc &&
-               parse_latency(argv[++i], latency)) {
-      latency_constraints.push_back(latency);
-    } else if (arg == "--certify-out" && i + 1 < argc) {
-      certify_out = argv[++i];
-    } else if (arg == "--repair") {
-      do_repair = true;
-    } else if (arg == "--repair-rounds" && i + 1 < argc &&
-               parse_number("--repair-rounds", argv[++i], number)) {
-      repair_rounds = number;
-      do_repair = true;
-    } else if (arg == "--repair-out" && i + 1 < argc) {
-      repair_out = argv[++i];
-      do_repair = true;
-    } else if (arg == "--frontier") {
-      do_frontier = true;
-    } else if (arg == "--frontier-k" && i + 1 < argc &&
-               parse_number("--frontier-k", argv[++i], number)) {
-      frontier_k = number;
-      do_frontier = true;
-    } else if (arg == "--frontier-links" && i + 1 < argc &&
-               parse_number("--frontier-links", argv[++i], number)) {
-      frontier_links = number;
-      do_frontier = true;
-    } else if (arg == "--frontier-silences" && i + 1 < argc &&
-               parse_number("--frontier-silences", argv[++i], number)) {
-      frontier_silences = number;
-      do_frontier = true;
-    } else if (arg == "--frontier-out" && i + 1 < argc) {
-      frontier_out = argv[++i];
-      do_frontier = true;
-    } else if (arg == "--plan-key") {
-      do_plan_key = true;
-    } else if (arg == "--certify-shard" && i + 1 < argc &&
-               parse_shard(argv[++i], shard)) {
-      do_shard = true;
-    } else if (arg == "--stream-out" && i + 1 < argc) {
-      stream_out = argv[++i];
-    } else if (arg == "--merge-stream" && i + 1 < argc) {
-      merge_streams.emplace_back(argv[++i]);
-    } else if (arg == "--serve") {
-      do_serve = true;
-    } else if (arg == "--serve-socket" && i + 1 < argc) {
-      serve_socket_path = argv[++i];
-      do_serve = true;
-    } else if (arg == "--cache-size" && i + 1 < argc &&
-               parse_number("--cache-size", argv[++i], number)) {
-      cache_size = number;
-    } else if (arg == "--serve-threads" && i + 1 < argc &&
-               parse_number("--serve-threads", argv[++i], number) &&
-               number >= 1) {
-      serve_threads = number;
-    } else if (arg == "--replay" && i + 1 < argc) {
-      replay_file = argv[++i];
-    } else if (arg == "--metrics-out" && i + 1 < argc) {
-      metrics_out = argv[++i];
-    } else if (arg == "--trace-out" && i + 1 < argc) {
-      trace_out = argv[++i];
-    } else if (!arg.empty() && arg[0] != '-') {
-      input = arg;
-    } else {
-      return usage();
-    }
-  }
-
-  if (do_serve) {
-    service::ServeOptions serve_options;
-    serve_options.cache_capacity = static_cast<std::size_t>(cache_size);
-    serve_options.threads = options.threads;
-    serve_options.serve_threads = static_cast<unsigned>(serve_threads);
-    serve_options.stop = &g_stop;
-    install_sigint_drain();
-    if (!serve_socket_path.empty()) {
-      return service::serve_socket(serve_socket_path, serve_options);
-    }
-    return service::serve_lines(std::cin, std::cout, serve_options);
-  }
-
-  workload::OwnedProblem owned;
-  if (example1) {
-    owned = workload::paper_example1();
-  } else if (example2) {
-    owned = workload::paper_example2();
-  } else if (!input.empty()) {
-    std::ifstream file(input);
-    if (!file) {
-      return input_error(input, "cannot open file");
-    }
-    std::stringstream buffer;
-    buffer << file.rdbuf();
-    Expected<workload::OwnedProblem> parsed = io::read_problem(buffer.str());
-    if (!parsed) {
-      return input_error(input, parsed.error().message);
-    }
-    owned = std::move(parsed).value();
-  } else {
-    return usage();
-  }
-
-  const Expected<Schedule> result = schedule(owned.problem, kind);
-  if (!result) {
-    std::fprintf(stderr, "scheduling failed (%s): %s\n",
-                 to_string(result.error().code).c_str(),
-                 result.error().message.c_str());
-    return 2;
-  }
-  const Schedule& sched = result.value();
-  const ArchitectureGraph& arch = *owned.problem.architecture;
-
-  // Chain constraints apply everywhere a verdict is formed: the replay /
-  // shrink oracle, certification, repair screening, and the service modes.
-  options.oracle.latency_constraints = latency_constraints;
-
-  // The certification budgets the service modes key/shard/merge against —
-  // identical to what --certify below builds, so --plan-key prints exactly
-  // the key a certifyd submission with these flags would look up.
-  campaign::CertifySpec service_spec;
-  service_spec.max_failures = options.oracle.claimed_tolerance;
-  service_spec.max_link_failures = static_cast<int>(certify_links);
-  service_spec.max_silences = static_cast<int>(certify_silences);
-  service_spec.response_bound = options.oracle.response_bound;
-  service_spec.latency_constraints = latency_constraints;
-  service_spec.threads = options.threads;
-
-  if (do_plan_key) {
-    // Bare key on stdout: scripts compare two problems' cache identity.
-    std::printf("%s\n", service::plan_key_string(sched, service_spec).c_str());
-    return 0;
-  }
-
-  if (!do_shard) {
-    // Shard mode keeps stdout clean: with no --stream-out the NDJSON
-    // records themselves go there.
-    std::printf("schedule: %s, K=%d, makespan %s\n",
-                to_string(sched.kind()).c_str(), sched.failures_tolerated(),
-                time_to_string(sched.makespan()).c_str());
-  }
-
-  if (do_shard) {
-    std::ofstream file;
-    std::ostream* out = &std::cout;
-    if (!stream_out.empty()) {
-      file.open(stream_out);
-      if (!file) {
-        std::fprintf(stderr, "cannot write %s\n", stream_out.c_str());
-        return 2;
-      }
-      out = &file;
-    }
-    service::OstreamSink sink(*out);
-    const service::StreamShardResult shard_result =
-        service::certify_stream(sched, service_spec, shard, sink);
-    std::fprintf(stderr, "shard %zu/%zu: %zu tasks streamed\n",
-                 shard.shard_index, shard.shard_count,
-                 shard_result.tasks_emitted);
-    return shard_result.completed ? 0 : 1;
-  }
-
-  if (!merge_streams.empty()) {
-    std::vector<std::string> streams;
-    for (const std::string& path : merge_streams) {
-      std::ifstream file(path);
-      if (!file) {
-        return input_error(path, "cannot open file");
-      }
-      std::stringstream buffer;
-      buffer << file.rdbuf();
-      streams.push_back(buffer.str());
-    }
-    const Expected<campaign::CertifyReport> merged =
-        service::merge_streams(sched, service_spec, streams);
-    if (!merged) {
-      return input_error(merge_streams.front(), merged.error().message);
-    }
-    const campaign::CertifyReport& report = merged.value();
-    std::fputs(report.to_text(arch).c_str(), stdout);
-    if (!certify_out.empty() &&
-        !write_file(certify_out, report.to_json(arch))) {
-      return 2;
-    }
-    return report.certified ? 0 : 1;
-  }
-
-  if (do_frontier) {
-    campaign::FrontierSpec fspec;
-    fspec.max_failures = static_cast<int>(frontier_k);
-    fspec.max_link_failures = static_cast<int>(frontier_links);
-    fspec.max_silences = static_cast<int>(frontier_silences);
-    fspec.response_bound = options.oracle.response_bound;
-    fspec.latency_constraints = latency_constraints;
-    fspec.threads = options.threads;
-    const campaign::FrontierReport report =
-        campaign::frontier_sweep(sched, fspec);
-    std::fputs(report.to_text(arch).c_str(), stdout);
-    if (!frontier_out.empty() &&
-        !write_file(frontier_out, report.to_json(arch))) {
-      return 2;
-    }
-    // The frontier is a capability map, not a pass/fail gate; the exit
-    // code reports only whether the fault-free baseline (0, 0, 0) holds.
-    return !report.points.empty() && report.points.front().certified ? 0 : 1;
-  }
-
-  if (!replay_file.empty()) {
-    std::ifstream file(replay_file);
-    if (!file) {
-      return input_error(replay_file, "cannot open file");
-    }
-    std::stringstream buffer;
-    buffer << file.rdbuf();
-    const Expected<MissionPlan> plan =
-        io::read_scenario(buffer.str(), arch);
-    if (!plan) {
-      return input_error(replay_file, plan.error().message);
-    }
-    const campaign::Oracle oracle(sched, options.oracle);
-    const MissionResult mission = run_mission(sched, plan.value());
-    std::fputs(mission.to_text(arch).c_str(), stdout);
-    const campaign::Verdict verdict = oracle.judge(plan.value(), mission);
-    if (verdict.ok()) {
-      std::printf("replay: oracle satisfied (within contract: %s)\n",
-                  verdict.within_contract ? "yes" : "no");
-      return 0;
-    }
-    for (const std::string& violation : verdict.violations) {
-      std::printf("replay violation: %s\n", violation.c_str());
-    }
-    return 1;
-  }
-
-  if (do_repair) {
-    campaign::RepairSpec rspec;
-    rspec.certify.max_failures = options.oracle.claimed_tolerance;
-    rspec.certify.max_link_failures = static_cast<int>(certify_links);
-    rspec.certify.max_silences = static_cast<int>(certify_silences);
-    rspec.certify.response_bound = options.oracle.response_bound;
-    rspec.certify.latency_constraints = latency_constraints;
-    rspec.certify.threads = options.threads;
-    rspec.max_rounds = static_cast<int>(repair_rounds);
-    if (!trace_out.empty()) obs::Profiler::global().enable(true);
-    const campaign::RepairReport report =
-        campaign::repair(owned.problem, kind, rspec);
-    const AlgorithmGraph& graph = *owned.problem.algorithm;
-    std::fputs(report.to_text(graph, arch).c_str(), stdout);
-    if (!repair_out.empty() &&
-        !write_file(repair_out, report.to_json(graph, arch))) {
-      return 2;
-    }
-    if (!metrics_out.empty() &&
-        !write_file(metrics_out, report.metrics.to_json())) {
-      return 2;
-    }
-    if (!trace_out.empty()) {
-      obs::Profiler::global().enable(false);
-      const std::string trace =
-          obs::chrome_trace_from_spans(obs::Profiler::global().drain());
-      if (!write_file(trace_out, trace)) return 2;
-    }
-    if (report.certified) return 0;
-    if (!report.rounds.empty() && !report.rounds.back().certified) {
-      const MissionPlan& final_plan = report.rounds.back().counterexample;
-      std::printf("\n# final counterexample (%zu events)\n%s",
-                  final_plan.event_count(),
-                  io::write_scenario(final_plan, arch).c_str());
-    }
-    return 1;
-  }
-
-  if (do_certify) {
-    campaign::CertifySpec spec;
-    spec.max_failures = options.oracle.claimed_tolerance;
-    spec.max_link_failures = static_cast<int>(certify_links);
-    spec.max_silences = static_cast<int>(certify_silences);
-    spec.response_bound = options.oracle.response_bound;
-    spec.latency_constraints = latency_constraints;
-    spec.threads = options.threads;
-    // The shrink oracle must judge link faults within the certified budget
-    // as within-contract, or a link counterexample would satisfy it and
-    // the shrinker's precondition (oracle rejects the plan) would fail.
-    options.oracle.claimed_link_tolerance = static_cast<int>(certify_links);
-    if (!trace_out.empty()) obs::Profiler::global().enable(true);
-    const campaign::CertifyReport report = campaign::certify(sched, spec);
-    std::fputs(report.to_text(arch).c_str(), stdout);
-    if (!certify_out.empty() &&
-        !write_file(certify_out, report.to_json(arch))) {
-      return 2;
-    }
-    if (!metrics_out.empty() &&
-        !write_file(metrics_out, report.metrics.to_json())) {
-      return 2;
-    }
-    if (!trace_out.empty()) {
-      obs::Profiler::global().enable(false);
-      const std::string trace =
-          obs::chrome_trace_from_spans(obs::Profiler::global().drain());
-      if (!write_file(trace_out, trace)) return 2;
-    }
-    if (report.certified) return 0;
-
-    // Shrink the first counterexample to a minimal serialized reproducer
-    // (the certifier's branches are already canonical, but the shrinker
-    // often drops dead-at-start processors that were not load-bearing).
-    const MissionPlan plan =
-        campaign::counterexample_plan(report.counterexamples.front());
-    std::printf("\n# counterexample reproducer (%zu events)\n%s",
-                plan.event_count(), io::write_scenario(plan, arch).c_str());
-    const Simulator simulator(sched);
-    const campaign::Oracle oracle(sched, options.oracle);
-    const campaign::ShrinkResult shrunk =
-        campaign::shrink(simulator, oracle, plan);
-    std::printf(
-        "\n# shrunk reproducer (%zu -> %zu events, %zu re-simulations)\n%s",
-        shrunk.initial_events, shrunk.final_events, shrunk.simulations,
-        io::write_scenario(shrunk.plan, arch).c_str());
-    for (const std::string& violation : shrunk.violations) {
-      std::printf("# still fails: %s\n", violation.c_str());
-    }
-    return 1;
-  }
-
-  if (!trace_out.empty()) obs::Profiler::global().enable(true);
-  const campaign::CampaignReport report =
-      campaign::run_campaign(sched, options);
-  std::fputs(report.to_text(arch).c_str(), stdout);
-  if (!metrics_out.empty() &&
-      !write_file(metrics_out, report.metrics.to_json())) {
-    return 2;
-  }
-  if (!trace_out.empty()) {
-    obs::Profiler::global().enable(false);
-    const std::string trace =
-        obs::chrome_trace_from_spans(obs::Profiler::global().drain());
-    if (!write_file(trace_out, trace)) return 2;
-  }
-  if (report.violations.empty()) return 0;
-
-  const campaign::CampaignViolation& first = report.violations.front();
-  std::printf("\nfirst violation: scenario %zu (seed %llu)\n", first.index,
-              static_cast<unsigned long long>(first.seed));
-  for (const std::string& detail : first.details) {
-    std::printf("  %s\n", detail.c_str());
-  }
-  if (first.plan.event_count() == 0) return 1;
-
-  std::printf("\n# original reproducer (%zu events)\n%s",
-              first.plan.event_count(),
-              io::write_scenario(first.plan, arch).c_str());
-  if (do_shrink) {
-    const Simulator simulator(sched);
-    const campaign::Oracle oracle(sched, options.oracle);
-    const campaign::ShrinkResult shrunk =
-        campaign::shrink(simulator, oracle, first.plan);
-    std::printf(
-        "\n# shrunk reproducer (%zu -> %zu events, %zu re-simulations)\n%s",
-        shrunk.initial_events, shrunk.final_events, shrunk.simulations,
-        io::write_scenario(shrunk.plan, arch).c_str());
-    for (const std::string& violation : shrunk.violations) {
-      std::printf("# still fails: %s\n", violation.c_str());
-    }
-  }
-  return 1;
-}
-
-}  // namespace

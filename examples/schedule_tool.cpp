@@ -13,8 +13,6 @@
 // malformed (the diagnostic names the file and the offending line) — the
 // same codes as campaign_tool.
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "exec/codegen.hpp"
@@ -49,48 +47,18 @@ int usage() {
   return 2;
 }
 
-/// Input-file failure (unreadable or malformed): one line naming the file
-/// and, for a parse error, the offending line — exit 3, so scripts can
-/// tell "bad input" from "scheduling failed" (1) and "bad usage" (2).
-int input_error(const std::string& path, const std::string& message) {
-  std::fprintf(stderr, "schedule_tool: %s: %s\n", path.c_str(),
-               message.c_str());
-  return 3;
-}
-
-/// Writes `content` to stdout, or through io::write_file to `path`.
-bool emit(const std::string& path, const std::string& content) {
-  if (path.empty()) {
-    std::fputs(content.c_str(), stdout);
-    return true;
-  }
-  return io::write_file(path, content);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string input;
-  HeuristicKind kind = HeuristicKind::kSolution1;
+  io::ProblemFlags problem;
   std::string output = "--gantt";
   std::string out_path;
-  bool example1 = false;
-  bool example2 = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--example1") {
-      example1 = true;
-    } else if (arg == "--example2") {
-      example2 = true;
-    } else if (arg == "--base") {
-      kind = HeuristicKind::kBase;
-    } else if (arg == "--solution1") {
-      kind = HeuristicKind::kSolution1;
-    } else if (arg == "--solution2") {
-      kind = HeuristicKind::kSolution2;
-    } else if (arg == "--hybrid") {
-      kind = HeuristicKind::kHybrid;
+    if (problem.parse(arg)) continue;
+    if (arg == "--hybrid") {
+      problem.kind = HeuristicKind::kHybrid;
     } else if (arg == "--text" || arg == "--gantt" || arg == "--json" ||
                arg == "--csv" || arg == "--exec" || arg == "--problem" ||
                arg == "--analyze") {
@@ -98,48 +66,32 @@ int main(int argc, char** argv) {
     } else if (arg == "-o") {
       if (++i >= argc) return usage();
       out_path = argv[i];
-    } else if (!arg.empty() && arg[0] != '-') {
-      input = arg;
     } else {
       return usage();
     }
   }
 
-  workload::OwnedProblem owned;
-  if (example1) {
-    owned = workload::paper_example1();
-  } else if (example2) {
-    owned = workload::paper_example2();
-  } else if (!input.empty()) {
-    std::ifstream file(input);
-    if (!file) return input_error(input, "cannot open file");
-    std::stringstream buffer;
-    buffer << file.rdbuf();
-    Expected<workload::OwnedProblem> parsed =
-        io::read_problem(buffer.str());
-    if (!parsed) return input_error(input, parsed.error().message);
-    owned = std::move(parsed).value();
-  } else {
-    return usage();
+  if (!problem.given()) return usage();
+  const Expected<workload::OwnedProblem> owned = problem.load();
+  if (!owned) {
+    return io::input_error("schedule_tool", problem.file,
+                           owned.error().message);
   }
-
   if (output == "--problem") {
-    return emit(out_path, io::write_problem(owned.problem)) ? 0 : 2;
+    return io::emit(out_path, io::write_problem(owned->problem)) ? 0 : 2;
   }
 
   Expected<Schedule> result =
-      kind == HeuristicKind::kHybrid
+      problem.kind == HeuristicKind::kHybrid
           ? [&]() -> Expected<Schedule> {
               // Automatic redundancy trade-off search.
-              Expected<HybridResult> hybrid = schedule_hybrid(owned.problem);
+              Expected<HybridResult> hybrid = schedule_hybrid(owned->problem);
               if (!hybrid) return hybrid.error();
               return std::move(hybrid).value().schedule;
             }()
-          : schedule(owned.problem, kind);
+          : schedule(owned->problem, problem.kind);
   if (!result) {
-    std::fprintf(stderr, "scheduling failed (%s): %s\n",
-                 to_string(result.error().code).c_str(),
-                 result.error().message.c_str());
+    io::report_scheduling_failure(result.error());
     return 1;
   }
   const Schedule& sched = result.value();
@@ -180,15 +132,15 @@ int main(int argc, char** argv) {
          time_to_string(transient.worst_response).c_str(),
          transient.worst_stretch(),
          transient.worst_victim.valid()
-             ? owned.architecture->processor(transient.worst_victim)
+             ? owned->architecture->processor(transient.worst_victim)
                    .name.c_str()
              : "-");
-    if (owned.architecture->processor_count() <= 12) {
+    if (owned->architecture->processor_count() <= 12) {
       for (const double p : {0.001, 0.01, 0.1}) {
         line("reliability @ p=%-5g %.6f\n", p,
              analyze_reliability(sched, p).iteration_reliability);
       }
     }
   }
-  return emit(out_path, text) ? 0 : 2;
+  return io::emit(out_path, text) ? 0 : 2;
 }

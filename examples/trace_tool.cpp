@@ -4,7 +4,6 @@
 //
 //   ./trace_tool gantt --example1 --solution1 -o fig17.trace.json
 //   ./trace_tool sim --example1 --solution1 --fail P1@2 -o faulty.trace.json
-//   ./trace_tool sim --example2 --solution2 --dead P3 --replay repro.scenario
 //   ./trace_tool profile --example1 --solution1 --scenarios 5000 --threads 4
 //   ./trace_tool explain --example1 --solution1
 //
@@ -21,16 +20,16 @@
 //            with its sigma components and the decision taken.
 //
 // Exit status: 0 = ok, 2 = usage or I/O error (an out-of-range numeric
-// operand or an unwritable output file included, each with a diagnostic).
+// operand or an unwritable output file included, each with a diagnostic),
+// 3 = input file unreadable or malformed (the diagnostic names the file
+// and the offending line) — the same codes as campaign_tool.
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/runner.hpp"
 #include "io/cli_util.hpp"
-#include "io/problem_format.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/span.hpp"
 #include "sched/explain.hpp"
@@ -48,7 +47,11 @@ int usage() {
       "                  <file | --example1 | --example2>\n"
       "                  [--base | --solution1 | --solution2] [-o FILE]\n"
       "       sim:     [--fail PROC@TIME]... [--dead PROC]...\n"
-      "       profile: [--scenarios N] [--threads N] [--seed N]\n");
+      "       profile: [--scenarios N] [--threads N] [--seed N]\n"
+      "\n"
+      "exit status: 0 ok, 2 usage or I/O error (an unwritable -o FILE\n"
+      "included), 3 input file unreadable or malformed (diagnostic names\n"
+      "the file and the offending line).\n");
   return 2;
 }
 
@@ -69,14 +72,111 @@ bool parse_number(const char* flag, const char* text, long& out) {
   return false;
 }
 
-bool emit(const std::string& path, const std::string& content) {
-  if (path.empty()) {
-    std::fputs(content.c_str(), stdout);
-    return true;
+/// Every flag after the subcommand, parsed once.
+struct Options {
+  io::ProblemFlags problem;
+  std::string out_file;
+  std::vector<std::pair<std::string, Time>> crashes;  // --fail name@time
+  std::vector<std::string> dead;                      // --dead name
+  long scenarios = 2000;
+  long threads = 0;
+  long seed = 0;
+};
+
+/// argv[2..] -> Options; false after a usage error has been reported.
+bool parse(int argc, char** argv, Options& o) {
+  for (int i = 2; i < argc; ++i) {
+    const std::string arg = argv[i];
+    long number = 0;
+    if (o.problem.parse(arg)) continue;
+    if (arg == "-o" && i + 1 < argc) {
+      o.out_file = argv[++i];
+    } else if (arg == "--fail" && i + 1 < argc) {
+      const std::string spec = argv[++i];
+      const std::size_t at = spec.find('@');
+      double time = 0;
+      const io::ParseStatus status =
+          at == std::string::npos
+              ? io::ParseStatus::kMalformed
+              : io::parse_nonnegative(spec.c_str() + at + 1, time);
+      if (status == io::ParseStatus::kOutOfRange) {
+        return out_of_range("--fail", spec.c_str());
+      }
+      if (status != io::ParseStatus::kOk) {
+        std::fprintf(stderr, "--fail wants PROC@TIME, got %s\n",
+                     spec.c_str());
+        return false;
+      }
+      o.crashes.emplace_back(spec.substr(0, at), time);
+    } else if (arg == "--dead" && i + 1 < argc) {
+      o.dead.emplace_back(argv[++i]);
+    } else if (arg == "--scenarios" && i + 1 < argc &&
+               parse_number("--scenarios", argv[++i], number)) {
+      o.scenarios = number;
+    } else if (arg == "--threads" && i + 1 < argc &&
+               parse_number("--threads", argv[++i], number)) {
+      o.threads = number;
+    } else if (arg == "--seed" && i + 1 < argc &&
+               parse_number("--seed", argv[++i], number)) {
+      o.seed = number;
+    } else {
+      usage();
+      return false;
+    }
   }
-  if (!io::write_file(path, content)) return false;
-  std::fprintf(stderr, "wrote %s\n", path.c_str());
   return true;
+}
+
+/// One simulated iteration under the --fail crashes and --dead processors
+/// as an actual-execution timeline; false after naming an unknown
+/// processor.
+bool sim_trace(const Options& o, const Schedule& sched, std::string& out) {
+  const Problem& problem = sched.problem();
+  auto known = [&](const std::string& name, ProcessorId& proc) {
+    proc = problem.architecture->find_processor(name);
+    if (!proc.valid()) {
+      std::fprintf(stderr, "unknown processor %s\n", name.c_str());
+    }
+    return proc.valid();
+  };
+  FailureScenario scenario;
+  ProcessorId proc;
+  for (const auto& [name, time] : o.crashes) {
+    if (!known(name, proc)) return false;
+    scenario.events.push_back(FailureEvent{proc, time});
+  }
+  for (const std::string& name : o.dead) {
+    if (!known(name, proc)) return false;
+    scenario.failed_at_start.push_back(proc);
+  }
+  const Simulator simulator(sched);
+  const IterationResult iteration = simulator.run(scenario);
+  std::fprintf(stderr,
+               "iteration: outputs %s, response %s, %zu timeouts, "
+               "%zu elections\n",
+               iteration.all_outputs_produced ? "produced" : "LOST",
+               time_to_string(iteration.response_time).c_str(),
+               iteration.trace.count(TraceEvent::Kind::kTimeout),
+               iteration.trace.count(TraceEvent::Kind::kElection));
+  out = obs::chrome_trace_from_sim_trace(iteration.trace, *problem.algorithm,
+                                         *problem.architecture);
+  return true;
+}
+
+/// Hammers the schedule with a campaign and returns the spans recorded
+/// since main() switched the profiler on.
+std::string profile_trace(const Options& o, const Schedule& sched) {
+  campaign::CampaignOptions options = io::default_campaign_options();
+  options.scenarios = static_cast<std::size_t>(o.scenarios);
+  options.threads = static_cast<unsigned>(o.threads);
+  options.seed = static_cast<std::uint64_t>(o.seed);
+  const campaign::CampaignReport report =
+      campaign::run_campaign(sched, options);
+  obs::Profiler::global().enable(false);
+  std::fprintf(stderr, "campaign: %zu scenarios on %u threads, %.0f/s\n",
+               report.scenarios_run, report.threads_used,
+               report.scenarios_per_second());
+  return obs::chrome_trace_from_spans(obs::Profiler::global().drain());
 }
 
 }  // namespace
@@ -88,93 +188,14 @@ int main(int argc, char** argv) {
       mode != "explain") {
     return usage();
   }
-
-  std::string input;
-  std::string out_file;
-  bool example1 = false;
-  bool example2 = false;
-  HeuristicKind kind = HeuristicKind::kSolution1;
-  std::vector<std::pair<std::string, Time>> crashes;  // --fail name@time
-  std::vector<std::string> dead;                      // --dead name
-  long scenarios = 2000;
-  long threads = 0;
-  long seed = 0;
-
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    long number = 0;
-    if (arg == "--example1") {
-      example1 = true;
-    } else if (arg == "--example2") {
-      example2 = true;
-    } else if (arg == "--base") {
-      kind = HeuristicKind::kBase;
-    } else if (arg == "--solution1") {
-      kind = HeuristicKind::kSolution1;
-    } else if (arg == "--solution2") {
-      kind = HeuristicKind::kSolution2;
-    } else if (arg == "-o" && i + 1 < argc) {
-      out_file = argv[++i];
-    } else if (arg == "--fail" && i + 1 < argc) {
-      const std::string spec = argv[++i];
-      const std::size_t at = spec.find('@');
-      double time = 0;
-      const io::ParseStatus status =
-          at == std::string::npos
-              ? io::ParseStatus::kMalformed
-              : io::parse_nonnegative(spec.c_str() + at + 1, time);
-      if (status == io::ParseStatus::kOutOfRange) {
-        out_of_range("--fail", spec.c_str());
-        return 2;
-      }
-      if (status != io::ParseStatus::kOk) {
-        std::fprintf(stderr, "--fail wants PROC@TIME, got %s\n",
-                     spec.c_str());
-        return 2;
-      }
-      crashes.emplace_back(spec.substr(0, at), time);
-    } else if (arg == "--dead" && i + 1 < argc) {
-      dead.emplace_back(argv[++i]);
-    } else if (arg == "--scenarios" && i + 1 < argc &&
-               parse_number("--scenarios", argv[++i], number)) {
-      scenarios = number;
-    } else if (arg == "--threads" && i + 1 < argc &&
-               parse_number("--threads", argv[++i], number)) {
-      threads = number;
-    } else if (arg == "--seed" && i + 1 < argc &&
-               parse_number("--seed", argv[++i], number)) {
-      seed = number;
-    } else if (!arg.empty() && arg[0] != '-') {
-      input = arg;
-    } else {
-      return usage();
-    }
+  Options o;
+  if (!parse(argc, argv, o)) return 2;
+  if (!o.problem.given()) return usage();
+  const Expected<workload::OwnedProblem> owned = o.problem.load();
+  if (!owned) {
+    return io::input_error("trace_tool", o.problem.file,
+                           owned.error().message);
   }
-
-  workload::OwnedProblem owned;
-  if (example1) {
-    owned = workload::paper_example1();
-  } else if (example2) {
-    owned = workload::paper_example2();
-  } else if (!input.empty()) {
-    std::ifstream file(input);
-    if (!file) {
-      std::fprintf(stderr, "cannot open %s\n", input.c_str());
-      return 2;
-    }
-    std::stringstream buffer;
-    buffer << file.rdbuf();
-    Expected<workload::OwnedProblem> parsed = io::read_problem(buffer.str());
-    if (!parsed) {
-      std::fprintf(stderr, "%s: %s\n", input.c_str(),
-                   parsed.error().message.c_str());
-      return 2;
-    }
-    owned = std::move(parsed).value();
-  } else {
-    return usage();
-  }
-  const ArchitectureGraph& arch = *owned.problem.architecture;
 
   SchedulerOptions sched_options;
   ExplainLog explain;
@@ -185,79 +206,30 @@ int main(int argc, char** argv) {
     static_cast<void>(obs::Profiler::global().drain());
     obs::Profiler::global().enable(true);
   }
-
   const Expected<Schedule> result =
-      schedule(owned.problem, kind, sched_options);
+      schedule(owned->problem, o.problem.kind, sched_options);
   if (!result) {
-    std::fprintf(stderr, "scheduling failed (%s): %s\n",
-                 to_string(result.error().code).c_str(),
-                 result.error().message.c_str());
+    io::report_scheduling_failure(result.error());
     return 2;
   }
-  const Schedule& sched = result.value();
+  const Schedule& sched = *result;
   std::fprintf(stderr, "schedule: %s, K=%d, makespan %s\n",
                to_string(sched.kind()).c_str(), sched.failures_tolerated(),
                time_to_string(sched.makespan()).c_str());
 
+  std::string content;
   if (mode == "gantt") {
-    return emit(out_file, obs::chrome_trace_from_schedule(sched)) ? 0 : 2;
+    content = obs::chrome_trace_from_schedule(sched);
+  } else if (mode == "explain") {
+    content = explain.to_text(owned->problem);
+  } else if (mode == "sim") {
+    if (!sim_trace(o, sched, content)) return 2;
+  } else {
+    content = profile_trace(o, sched);
   }
-
-  if (mode == "explain") {
-    return emit(out_file, explain.to_text(owned.problem)) ? 0 : 2;
+  if (!io::emit(o.out_file, content)) return 2;
+  if (!o.out_file.empty()) {
+    std::fprintf(stderr, "wrote %s\n", o.out_file.c_str());
   }
-
-  if (mode == "sim") {
-    FailureScenario scenario;
-    for (const auto& [name, time] : crashes) {
-      const ProcessorId proc = arch.find_processor(name);
-      if (!proc.valid()) {
-        std::fprintf(stderr, "unknown processor %s\n", name.c_str());
-        return 2;
-      }
-      scenario.events.push_back(FailureEvent{proc, time});
-    }
-    for (const std::string& name : dead) {
-      const ProcessorId proc = arch.find_processor(name);
-      if (!proc.valid()) {
-        std::fprintf(stderr, "unknown processor %s\n", name.c_str());
-        return 2;
-      }
-      scenario.failed_at_start.push_back(proc);
-    }
-    const Simulator simulator(sched);
-    const IterationResult iteration = simulator.run(scenario);
-    std::fprintf(stderr,
-                 "iteration: outputs %s, response %s, %zu timeouts, "
-                 "%zu elections\n",
-                 iteration.all_outputs_produced ? "produced" : "LOST",
-                 time_to_string(iteration.response_time).c_str(),
-                 iteration.trace.count(TraceEvent::Kind::kTimeout),
-                 iteration.trace.count(TraceEvent::Kind::kElection));
-    return emit(out_file,
-                obs::chrome_trace_from_sim_trace(
-                    iteration.trace, *owned.problem.algorithm, arch))
-               ? 0
-               : 2;
-  }
-
-  // profile: hammer the schedule with a campaign while recording spans.
-  campaign::CampaignOptions options;
-  options.scenarios = static_cast<std::size_t>(scenarios);
-  options.threads = static_cast<unsigned>(threads);
-  options.seed = static_cast<std::uint64_t>(seed);
-  options.spec.max_iterations = 3;
-  options.spec.over_budget_fraction = 0.15;
-  options.spec.silence_probability = 0.10;
-  options.spec.suspect_probability = 0.10;
-  const campaign::CampaignReport report =
-      campaign::run_campaign(sched, options);
-  obs::Profiler::global().enable(false);
-  std::fprintf(stderr, "campaign: %zu scenarios on %u threads, %.0f/s\n",
-               report.scenarios_run, report.threads_used,
-               report.scenarios_per_second());
-  return emit(out_file,
-              obs::chrome_trace_from_spans(obs::Profiler::global().drain()))
-             ? 0
-             : 2;
+  return 0;
 }

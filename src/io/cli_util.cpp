@@ -4,6 +4,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
+
+#include "io/problem_format.hpp"
 
 namespace ftsched::io {
 
@@ -87,6 +90,73 @@ bool write_file(const std::string& path, const std::string& content) {
     return false;
   }
   return true;
+}
+
+bool emit(const std::string& path, const std::string& content) {
+  if (path.empty()) {
+    std::fputs(content.c_str(), stdout);
+    return true;
+  }
+  return write_file(path, content);
+}
+
+Expected<std::string> read_file(const std::string& path) {
+  std::ifstream file(path);
+  if (!file) return Error{Error::Code::kInvalidInput, "cannot open file"};
+  std::stringstream buffer;
+  buffer << file.rdbuf();
+  return buffer.str();
+}
+
+Expected<workload::OwnedProblem> load_problem(const std::string& path) {
+  Expected<std::string> text = read_file(path);
+  if (!text) return text.error();
+  return read_problem(*text);
+}
+
+int input_error(const char* tool, const std::string& path,
+                const std::string& message) {
+  std::fprintf(stderr, "%s: %s: %s\n", tool, path.c_str(), message.c_str());
+  return 3;
+}
+
+void report_scheduling_failure(const Error& error) {
+  std::fprintf(stderr, "scheduling failed (%s): %s\n",
+               to_string(error.code).c_str(), error.message.c_str());
+}
+
+bool ProblemFlags::parse(const std::string& arg) {
+  if (arg == "--example1") {
+    example1 = true;
+  } else if (arg == "--example2") {
+    example2 = true;
+  } else if (arg == "--base") {
+    kind = HeuristicKind::kBase;
+  } else if (arg == "--solution1") {
+    kind = HeuristicKind::kSolution1;
+  } else if (arg == "--solution2") {
+    kind = HeuristicKind::kSolution2;
+  } else if (!arg.empty() && arg[0] != '-') {
+    file = arg;
+  } else {
+    return false;
+  }
+  return true;
+}
+
+Expected<workload::OwnedProblem> ProblemFlags::load() const {
+  if (example1) return workload::paper_example1();
+  if (example2) return workload::paper_example2();
+  return load_problem(file);
+}
+
+campaign::CampaignOptions default_campaign_options() {
+  campaign::CampaignOptions options;
+  options.spec.max_iterations = 3;
+  options.spec.over_budget_fraction = 0.15;
+  options.spec.silence_probability = 0.10;
+  options.spec.suspect_probability = 0.10;
+  return options;
 }
 
 }  // namespace ftsched::io

@@ -9,7 +9,6 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -21,6 +20,7 @@
 #include <unistd.h>
 
 #include "campaign/certify.hpp"
+#include "io/cli_util.hpp"
 #include "io/problem_format.hpp"
 #include "obs/json_util.hpp"
 #include "obs/metrics.hpp"
@@ -176,15 +176,13 @@ void CertifyService::handle_submit(const SubmitRequest& submit,
 
   std::string text = submit.problem_inline;
   if (!submit.problem_path.empty()) {
-    std::ifstream file(submit.problem_path);
+    Expected<std::string> file = io::read_file(submit.problem_path);
     if (!file) {
       emit_error(sink, submit.id,
                  "cannot open problem file " + submit.problem_path, delta);
       return;
     }
-    std::stringstream buffer;
-    buffer << file.rdbuf();
-    text = buffer.str();
+    text = std::move(file).value();
   }
   Expected<workload::OwnedProblem> parsed = io::read_problem(text);
   if (!parsed.has_value()) {

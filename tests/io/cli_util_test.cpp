@@ -123,5 +123,51 @@ TEST(CliUtil, WriteFileReportsStreamFailureAfterTheWrite) {
   EXPECT_FALSE(write_file("/dev/full", "does not fit\n"));
 }
 
+TEST(CliUtil, LoadProblemNamesAMissingFile) {
+  const Expected<workload::OwnedProblem> loaded =
+      load_problem("/nonexistent-ftsched-dir/problem.ft");
+  ASSERT_FALSE(loaded);
+  EXPECT_EQ(loaded.error().message, "cannot open file");
+}
+
+TEST(CliUtil, LoadProblemReportsTheOffendingLine) {
+  const std::string path = ::testing::TempDir() + "cli_util_garbage.ft";
+  ASSERT_TRUE(write_file(path, "garbage\n"));
+  const Expected<workload::OwnedProblem> loaded = load_problem(path);
+  ASSERT_FALSE(loaded);
+  EXPECT_EQ(loaded.error().message,
+            "line 1: directive outside any section: garbage");
+  std::remove(path.c_str());
+}
+
+TEST(CliUtil, LoadProblemReadsTheCommittedExample) {
+  const std::string path =
+      std::string(FTSCHED_SOURCE_DIR) + "/data/example1.ft";
+  const Expected<std::string> text = read_file(path);
+  ASSERT_TRUE(text);
+  EXPECT_FALSE(text->empty());
+  const Expected<workload::OwnedProblem> loaded = load_problem(path);
+  ASSERT_TRUE(loaded) << loaded.error().message;
+  EXPECT_EQ(loaded->architecture->processor_count(), 3u);
+}
+
+TEST(CliUtil, ProblemFlagsTakeTheSourceAndHeuristic) {
+  ProblemFlags flags;
+  EXPECT_FALSE(flags.given());
+  EXPECT_EQ(flags.kind, HeuristicKind::kSolution1);
+  EXPECT_TRUE(flags.parse("--solution2"));
+  EXPECT_TRUE(flags.parse("problem.ft"));
+  EXPECT_FALSE(flags.parse("--seed"));
+  EXPECT_FALSE(flags.parse(""));
+  EXPECT_EQ(flags.kind, HeuristicKind::kSolution2);
+  EXPECT_EQ(flags.file, "problem.ft");
+  EXPECT_TRUE(flags.given());
+  // A paper example wins over the file operand, as it always has.
+  EXPECT_TRUE(flags.parse("--example1"));
+  const Expected<workload::OwnedProblem> loaded = flags.load();
+  ASSERT_TRUE(loaded);
+  EXPECT_EQ(loaded->architecture->processor_count(), 3u);
+}
+
 }  // namespace
 }  // namespace ftsched::io
