@@ -686,7 +686,7 @@ int run(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   try {
-    return run(argc, argv);
+    return io::finish_stdout(kTool, run(argc, argv));
   } catch (const std::exception& error) {
     // Belt and braces: anything a malformed input drives the library to
     // throw still exits with the input-error code and a one-line reason.

@@ -9,9 +9,9 @@
 //   ./schedule_tool problem.ft --solution1 --json -o schedule.json
 //
 // Exit status: 0 = ok, 1 = scheduling failed, 2 = usage error (unknown
-// flag, missing operand, unwritable -o file), 3 = input file unreadable or
-// malformed (the diagnostic names the file and the offending line) — the
-// same codes as campaign_tool.
+// flag, missing operand, unwritable -o file or stdout), 3 = input file
+// unreadable or malformed (the diagnostic names the file and the offending
+// line) — the same codes as campaign_tool.
 #include <cstdio>
 #include <string>
 
@@ -47,9 +47,7 @@ int usage() {
   return 2;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   io::ProblemFlags problem;
   std::string output = "--gantt";
   std::string out_path;
@@ -143,4 +141,10 @@ int main(int argc, char** argv) {
     }
   }
   return io::emit(out_path, text) ? 0 : 2;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return io::finish_stdout("schedule_tool", run(argc, argv));
 }

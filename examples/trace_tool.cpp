@@ -20,9 +20,9 @@
 //            with its sigma components and the decision taken.
 //
 // Exit status: 0 = ok, 2 = usage or I/O error (an out-of-range numeric
-// operand or an unwritable output file included, each with a diagnostic),
-// 3 = input file unreadable or malformed (the diagnostic names the file
-// and the offending line) — the same codes as campaign_tool.
+// operand or an unwritable output file or stdout included, each with a
+// diagnostic), 3 = input file unreadable or malformed (the diagnostic names
+// the file and the offending line) — the same codes as campaign_tool.
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -179,9 +179,7 @@ std::string profile_trace(const Options& o, const Schedule& sched) {
   return obs::chrome_trace_from_spans(obs::Profiler::global().drain());
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string mode = argv[1];
   if (mode != "gantt" && mode != "sim" && mode != "profile" &&
@@ -232,4 +230,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "wrote %s\n", o.out_file.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return io::finish_stdout("trace_tool", run(argc, argv));
 }

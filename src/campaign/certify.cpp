@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <mutex>
 #include <utility>
 
 #include "arch/architecture_graph.hpp"
@@ -18,69 +19,6 @@
 #include "tuning/transient_analysis.hpp"
 
 namespace ftsched::campaign {
-
-std::uint64_t CertifyCache::mix(const Key& key) noexcept {
-  std::uint64_t x = key.pattern_key + 0x9e3779b97f4a7c15ULL +
-                    (key.schedule_key << 6) + (key.schedule_key >> 2);
-  x ^= key.schedule_key;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  return x;
-}
-
-std::optional<CertifyCache::Entry> CertifyCache::lookup(
-    std::uint64_t schedule_key, std::uint64_t pattern_key) const {
-  const Key key{schedule_key, pattern_key};
-  const std::uint64_t hash = mix(key);
-  const Shard& shard = shards_[shard_index(hash)];
-  const std::uint64_t want = mark(hash);
-  for (std::size_t probe = 0; probe < kProbeWindow; ++probe) {
-    const Slot& slot = shard.slots[(hash + probe) & kSlotMask];
-    const std::uint64_t tag = slot.tag.load(std::memory_order_acquire);
-    if (tag == kEmpty) {
-      // Published slots never empty out, so an insert of this key would
-      // have claimed this or an earlier slot — and it only overflows when
-      // the whole window is full, which this empty slot refutes.
-      return std::nullopt;
-    }
-    if (tag == want && slot.key == key) return slot.entry;
-  }
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.overflow.find(key);
-  if (it == shard.overflow.end()) return std::nullopt;
-  return it->second;
-}
-
-void CertifyCache::insert(std::uint64_t schedule_key,
-                          std::uint64_t pattern_key, const Entry& entry) {
-  const Key key{schedule_key, pattern_key};
-  const std::uint64_t hash = mix(key);
-  Shard& shard = shards_[shard_index(hash)];
-  const std::uint64_t want = mark(hash);
-  for (std::size_t probe = 0; probe < kProbeWindow; ++probe) {
-    Slot& slot = shard.slots[(hash + probe) & kSlotMask];
-    std::uint64_t tag = slot.tag.load(std::memory_order_acquire);
-    if (tag == want && slot.key == key) {
-      return;  // first insert wins, like unordered_map::emplace
-    }
-    if (tag != kEmpty) continue;
-    if (!slot.tag.compare_exchange_strong(tag, kBusy,
-                                          std::memory_order_acq_rel)) {
-      if (tag == want && slot.key == key) return;
-      continue;  // lost the claim to a different key; keep probing
-    }
-    slot.key = key;
-    slot.entry = entry;
-    slot.tag.store(want, std::memory_order_release);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  // Window full: never drop — spill to the shard's overflow map.
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  if (shard.overflow.emplace(key, entry).second) {
-    count_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
 
 namespace {
 
@@ -101,6 +39,30 @@ std::vector<Time> static_deadlines(const Schedule& schedule) {
     }
   }
   return out;
+}
+
+/// The single-iteration mission plan of a fault pattern, into `plan`
+/// (reusing its lists' storage).
+void fill_plan(const std::vector<ProcessorId>& dead,
+               const std::vector<LinkId>& dead_links,
+               const std::vector<FailureEvent>& crashes,
+               const std::vector<LinkFailureEvent>& link_crashes,
+               const std::vector<SilentWindow>& silences, MissionPlan& plan) {
+  plan.iterations = 1;
+  plan.dead_at_start = dead;
+  plan.dead_links_at_start = dead_links;
+  plan.failures.clear();
+  for (const FailureEvent& crash : crashes) {
+    plan.failures.push_back(MissionFailure{0, crash});
+  }
+  plan.link_failures.clear();
+  for (const LinkFailureEvent& death : link_crashes) {
+    plan.link_failures.push_back(MissionLinkFailure{0, death});
+  }
+  plan.silences.clear();
+  for (const SilentWindow& window : silences) {
+    plan.silences.push_back(MissionSilence{0, window});
+  }
 }
 
 /// Fault classes, in canonical same-instant order.
@@ -166,10 +128,10 @@ struct Level {
 };
 
 /// Everything an Explorer reuses: one Level per interior depth, the leaf
-/// arena with its digest, and the victim-act scratch of the planning step.
-/// certify_shard recycles these across slices, so a sweep holds one per
-/// concurrently running slice and steady-state exploration allocates
-/// nothing per node.
+/// arena with its digest, the victim-act scratch of the planning step, and
+/// the leaf-cache key buffers. certify_shard recycles these across slices,
+/// so a sweep holds one per concurrently running slice and steady-state
+/// exploration allocates nothing per node.
 struct ExplorerScratch {
   std::vector<Level> levels;
   Simulator::Branch leaf;
@@ -177,6 +139,13 @@ struct ExplorerScratch {
   std::vector<Time> acts;
   std::vector<Interval> windows;
   std::vector<std::pair<LinkId, Time>> open;
+  MissionPlan key_plan;
+  CanonicalScratch key_canon;
+  std::string key_bytes;
+  /// (pattern key, outcome) of every leaf this scratch's slices simulated
+  /// with a cache attached; certify_shard publishes them once the sweep
+  /// has drained.
+  std::vector<std::pair<std::uint64_t, CertifyLeafOutcome>> fresh;
 };
 
 /// Depth-first exploration of one task's subtree; every instant the parent
@@ -221,10 +190,8 @@ class Explorer {
     scenario.failed_at_start = dead;
     scenario.failed_links_at_start = dead_links;
     if (!first.valid()) {
-      // The dead-at-start-only leaf: a leaf like any exhausted one — each
-      // (dead, dead_links) pair owns exactly one leaf-only task, so its
-      // cache key is unique within a sweep — simulated from scratch into
-      // the leaf arena.
+      // The dead-at-start-only leaf: a leaf like any exhausted one,
+      // simulated from scratch into the leaf arena.
       run_leaf([&] {
         ++out_.forks;
         sim_.run_summary(scenario, x_.leaf, x_.leaf_summary);
@@ -333,15 +300,14 @@ class Explorer {
 
   /// plan_key of the CURRENT fault pattern (dead_/crashes_/... stacks) —
   /// the leaf-cache key half identifying what was injected; the other
-  /// half is schedule_hash identifying what it was injected into.
-  [[nodiscard]] std::uint64_t pattern_key() const {
-    CertifyBranch branch;
-    branch.dead_at_start = dead_;
-    branch.dead_links_at_start = dead_links_;
-    branch.crashes = crashes_;
-    branch.link_crashes = link_crashes_;
-    branch.silences = silences_;
-    return plan_key(counterexample_plan(branch));
+  /// half is schedule_hash identifying what it was injected into. Built in
+  /// the scratch's reused buffers, so it allocates nothing once they have
+  /// grown.
+  [[nodiscard]] std::uint64_t pattern_key() {
+    fill_plan(dead_, dead_links_, crashes_, link_crashes_, silences_,
+              x_.key_plan);
+    canonical_fingerprint_into(x_.key_plan, x_.key_canon, x_.key_bytes);
+    return fingerprint_hash(x_.key_bytes);
   }
 
   /// The one leaf path, for every budget-exhausted child and every
@@ -350,14 +316,15 @@ class Explorer {
   /// fault pattern when it can (no simulation); otherwise `load` runs the
   /// leaf trace-free in the reused arena x_.leaf — a fork_into of the
   /// paused parent plus the leaf's fault, or a from-scratch run — into
-  /// x_.leaf_summary, whose verdict is recorded and published to the
-  /// cache. Allocation-free once the arena has grown.
+  /// x_.leaf_summary, whose verdict is recorded and queued in x_.fresh for
+  /// the cache. Allocation-free once the arena has grown.
   template <typename Load>
   void run_leaf(const Load& load) {
     std::uint64_t key = 0;
     if (cache_ != nullptr) {
       key = pattern_key();
-      if (const auto hit = cache_->lookup(schedule_key_, key)) {
+      if (const CertifyLeafOutcome* hit =
+              cache_->lookup(schedule_key_, key)) {
         ++out_.leaves_reused;
         record_leaf(hit->outputs_lost, hit->response_time,
                     hit->silence_deferral, {});
@@ -368,10 +335,9 @@ class Explorer {
     const IterationSummary& leaf = x_.leaf_summary;
     certify_leaf(leaf);
     if (cache_ != nullptr) {
-      cache_->insert(schedule_key_, key,
-                     CertifyCache::Entry{!leaf.all_outputs_produced,
-                                         leaf.response_time,
-                                         leaf.silence_deferral});
+      x_.fresh.emplace_back(
+          key, CertifyLeafOutcome{!leaf.all_outputs_produced,
+                                  leaf.response_time, leaf.silence_deferral});
     }
   }
 
@@ -749,7 +715,7 @@ class Explorer {
   const std::size_t procs_;
   const std::size_t links_;
   const Time beyond_tail_;
-  CertifyCache* const cache_;
+  const CertifyCache* const cache_;
   const std::uint64_t schedule_key_;
   /// Resolved chain probes, spec order (empty = scalar-only sweep).
   const std::vector<LatencyProbe>& probes_;
@@ -809,18 +775,8 @@ std::vector<LinkId> to_link_ids(const std::vector<int>& ids) {
 
 MissionPlan counterexample_plan(const CertifyBranch& branch) {
   MissionPlan plan;
-  plan.iterations = 1;
-  plan.dead_at_start = branch.dead_at_start;
-  plan.dead_links_at_start = branch.dead_links_at_start;
-  for (const FailureEvent& crash : branch.crashes) {
-    plan.failures.push_back(MissionFailure{0, crash});
-  }
-  for (const LinkFailureEvent& death : branch.link_crashes) {
-    plan.link_failures.push_back(MissionLinkFailure{0, death});
-  }
-  for (const SilentWindow& window : branch.silences) {
-    plan.silences.push_back(MissionSilence{0, window});
-  }
+  fill_plan(branch.dead_at_start, branch.dead_links_at_start, branch.crashes,
+            branch.link_crashes, branch.silences, plan);
   return plan;
 }
 
@@ -1137,6 +1093,18 @@ bool certify_shard(const Schedule& schedule, const CertifySpec& spec,
     }
   }
   pool.wait();
+  // The cache stayed frozen while the slices ran; every scratch is back in
+  // the spare list now, so publish their fresh leaves in one pass.
+  if (spec.cache != nullptr) {
+    std::size_t entries = spec.cache->size();
+    for (const auto& scratch : spare_scratch) entries += scratch->fresh.size();
+    spec.cache->reserve(entries);
+    for (const auto& scratch : spare_scratch) {
+      for (const auto& [key, outcome] : scratch->fresh) {
+        spec.cache->insert(schedule_key, key, outcome);
+      }
+    }
+  }
   return !was_cancelled;
 }
 

@@ -80,13 +80,9 @@
 // for any thread count.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -116,21 +112,15 @@ struct CertifyLeafOutcome {
 /// after each move; leaves whose fault pattern was already simulated
 /// against the SAME schedule bytes are served from here without forking or
 /// finishing a simulator branch (interior nodes are always re-simulated —
-/// their traces seed the child instants). Reuse counts are thread-count
-/// deterministic because the canonical enumeration visits each unordered
-/// fault set exactly once per sweep, so a lookup can never race a
-/// same-sweep insertion of its own key.
+/// their traces seed the child instants).
 ///
-/// Layout: the key hash picks one of kShards independent shards, each a
-/// fixed open-addressing table of atomically published, never-overwritten
-/// slots (tag CAS to claim, release-store to publish) plus a mutex-guarded
-/// overflow map. The fast path — the common case when the table is sized
-/// for the workload — takes no lock in either direction. An insert is
-/// NEVER dropped: a full probe window falls back to the overflow map,
-/// because a silently dropped entry would make reuse counters depend on
-/// probe-window luck instead of being a pure function of the lookup/insert
-/// sequence. First insert of a key wins (like unordered_map::emplace);
-/// thread-safe for concurrent lookups and inserts.
+/// A plain map that is frozen while a sweep runs: workers only look keys
+/// up, each collects its fresh leaves' outcomes in its own scratch, and
+/// certify_shard publishes them with insert() once the pool has drained.
+/// A sweep therefore never serves its own leaves, so reuse counts are a
+/// pure function of the sweeps run before it, whatever the thread count.
+/// First insert of a key wins (like unordered_map::emplace). One sweep at
+/// a time: concurrent sweeps must not share a cache.
 class CertifyCache {
  public:
   using Entry = CertifyLeafOutcome;
@@ -139,24 +129,23 @@ class CertifyCache {
   CertifyCache(const CertifyCache&) = delete;
   CertifyCache& operator=(const CertifyCache&) = delete;
 
-  [[nodiscard]] std::optional<Entry> lookup(std::uint64_t schedule_key,
-                                            std::uint64_t pattern_key) const;
-  void insert(std::uint64_t schedule_key, std::uint64_t pattern_key,
-              const Entry& entry);
-
-  /// Number of distinct keys ever inserted.
-  [[nodiscard]] std::size_t size() const {
-    return count_.load(std::memory_order_relaxed);
+  /// The cached outcome, or null. Safe to call concurrently as long as no
+  /// insert runs.
+  [[nodiscard]] const Entry* lookup(std::uint64_t schedule_key,
+                                    std::uint64_t pattern_key) const {
+    const auto it = entries_.find(Key{schedule_key, pattern_key});
+    return it == entries_.end() ? nullptr : &it->second;
   }
+  void insert(std::uint64_t schedule_key, std::uint64_t pattern_key,
+              const Entry& entry) {
+    entries_.emplace(Key{schedule_key, pattern_key}, entry);
+  }
+  void reserve(std::size_t count) { entries_.reserve(count); }
+
+  /// Number of distinct keys inserted.
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
  private:
-  static constexpr std::size_t kShards = 16;
-  static constexpr std::size_t kSlotsPerShard = 1024;  // a power of two
-  static constexpr std::size_t kSlotMask = kSlotsPerShard - 1;
-  static constexpr std::size_t kProbeWindow = 8;
-  static constexpr std::uint64_t kEmpty = 0;
-  static constexpr std::uint64_t kBusy = 1;
-
   struct Key {
     std::uint64_t schedule_key = 0;
     std::uint64_t pattern_key = 0;
@@ -164,33 +153,13 @@ class CertifyCache {
   };
   struct KeyHash {
     std::size_t operator()(const Key& key) const noexcept {
-      return static_cast<std::size_t>(mix(key));
+      // Both halves are already FNV-1a hashes.
+      return static_cast<std::size_t>(
+          key.pattern_key ^ (key.schedule_key * 0x9e3779b97f4a7c15ULL));
     }
   };
 
-  [[nodiscard]] static std::uint64_t mix(const Key& key) noexcept;
-  /// The slot's published tag for a key hash: never kEmpty/kBusy.
-  [[nodiscard]] static std::uint64_t mark(std::uint64_t hash) noexcept {
-    return hash | 2;
-  }
-  [[nodiscard]] static std::size_t shard_index(std::uint64_t hash) noexcept {
-    return (hash >> 56) & (kShards - 1);
-  }
-
-  struct Slot {
-    std::atomic<std::uint64_t> tag{kEmpty};
-    Key key;
-    Entry entry;
-  };
-
-  struct Shard {
-    std::vector<Slot> slots{kSlotsPerShard};
-    mutable std::mutex mutex;
-    std::unordered_map<Key, Entry, KeyHash> overflow;
-  };
-
-  std::array<Shard, kShards> shards_;
-  std::atomic<std::size_t> count_{0};
+  std::unordered_map<Key, Entry, KeyHash> entries_;
 };
 
 struct CertifySpec {
@@ -222,10 +191,12 @@ struct CertifySpec {
   /// scratch as its baseline. Off by default (memory).
   bool collect_branches = false;
   /// Leaf cache for incremental re-certification (null = off). Owned by
-  /// the caller and shared across sweeps: budget-exhausted leaves (and the
-  /// dead-at-start-only root leaves) whose (schedule, fault pattern) pair
-  /// was already simulated are served from it without forking. The verdict
-  /// is unchanged — only CertifyReport::forks / leaves_* / events_simulated
+  /// the caller and shared across sweeps, one at a time: budget-exhausted
+  /// leaves (and the dead-at-start-only root leaves) whose (schedule, fault
+  /// pattern) pair an EARLIER sweep simulated are served from it without
+  /// forking. The sweep only reads it; its own fresh leaves are inserted
+  /// after the worker pool drains (see CertifyCache). The verdict is
+  /// unchanged — only CertifyReport::forks / leaves_* / events_simulated
   /// reflect the saved work. A COLD cache changes nothing at all: every
   /// lookup misses and the report is byte-identical to cache-off.
   CertifyCache* cache = nullptr;
@@ -298,8 +269,8 @@ struct CertifyReport {
   std::size_t forks = 0;
   /// Leaves served from spec.cache without simulation / leaves actually
   /// simulated (leaves_fresh + leaves_reused == branches). Thread-count
-  /// deterministic (see CertifyCache); zero reused when cache is null or
-  /// cold.
+  /// deterministic: the cache is frozen while the sweep runs (see
+  /// CertifyCache); zero reused when cache is null or cold.
   std::size_t leaves_reused = 0;
   std::size_t leaves_fresh = 0;
   /// Events dispatched by the certified leaves' own suffix runs — the

@@ -4,8 +4,11 @@
 // refutes, each round:
 //
 //  1. certifies the current schedule over the full budgeted fault model
-//     (campaign/certify.hpp) with a shared leaf cache, so re-certifying
-//     an unchanged schedule reuses previously simulated leaves;
+//     (campaign/certify.hpp) against a leaf cache shared by every sweep.
+//     The cache is frozen while a sweep runs and takes the sweep's fresh
+//     leaves after its worker pool drains, so only a LATER sweep of the
+//     same schedule bytes reuses them — never a round, whose schedule is
+//     new by construction (step 5);
 //  2. shrinks the first counterexample to a 1-minimal reproducer
 //     (campaign/shrink.hpp, budgeted) and banks it — every banked
 //     reproducer must stay fixed by all later moves;
@@ -32,8 +35,9 @@
 //     accepted schedule starts the next round.
 //
 // The loop ends certified (the final certificate is then replayed through
-// the warm cache — the confirmation sweep — proving the verdict is
-// reproducible from cached leaves and measuring the reuse fraction), or
+// the warm cache — the confirmation sweep, the one sweep that reuses
+// leaves — proving the verdict is reproducible from cached leaves and
+// measuring the reuse fraction), or
 // refuted with the final shrunk counterexample when the move set or the
 // round budget is exhausted. Every artifact (moves, certificates, shrunk
 // plans, reuse counters) is deterministic: the repair log is byte-identical

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iostream>
 #include <sstream>
 
 #include "io/problem_format.hpp"
@@ -98,6 +99,17 @@ bool emit(const std::string& path, const std::string& content) {
     return true;
   }
   return write_file(path, content);
+}
+
+int finish_stdout(const char* tool, int status) {
+  // std::cout is synced with stdio, so its bytes sit in stdout's buffer
+  // until this flush; a failed write sets badbit or the stdio error flag.
+  const bool cout_good = std::cout.flush().good();
+  if (std::fflush(stdout) != 0 || std::ferror(stdout) != 0 || !cout_good) {
+    std::fprintf(stderr, "%s: cannot write stdout\n", tool);
+    return 2;
+  }
+  return status;
 }
 
 Expected<std::string> read_file(const std::string& path) {

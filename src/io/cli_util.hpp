@@ -56,6 +56,12 @@ enum class ParseStatus { kOk, kMalformed, kOutOfRange };
 /// write_file.
 [[nodiscard]] bool emit(const std::string& path, const std::string& content);
 
+/// Flushes stdout (C stdio and std::cout) and returns `status` — or 2,
+/// with "<tool>: cannot write stdout" on stderr, when a byte written there
+/// was lost (disk full, I/O error). Every tool's main returns through it,
+/// so a truncated report on stdout is never reported as success.
+[[nodiscard]] int finish_stdout(const char* tool, int status);
+
 /// The whole file at `path`; the error message is "cannot open file".
 [[nodiscard]] Expected<std::string> read_file(const std::string& path);
 

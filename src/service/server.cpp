@@ -255,12 +255,13 @@ void CertifyService::handle_submit(const SubmitRequest& submit,
   const auto write_certificate = [&](const CachedResult& result) {
     if (submit.certificate_out.empty()) return true;
     std::ofstream file(submit.certificate_out);
-    if (!file) {
+    // A disk-full or I/O error shows only in the stream state once the
+    // bytes are flushed; a file that never opened fails the same check.
+    if (!(file << result.certificate_json << std::flush)) {
       emit_error(sink, submit.id,
                  "cannot write " + submit.certificate_out, delta);
       return false;
     }
-    file << result.certificate_json;
     return true;
   };
 

@@ -455,6 +455,46 @@ TEST(Certify, WarmCacheReuseIsThreadCountInvariant) {
   EXPECT_GT(one.leaves_reused, 0u);
 }
 
+TEST(Certify, CacheIsPublishedOnlyAfterTheSweep) {
+  const OwnedProblem ex = workload::paper_example1();
+  const Schedule schedule = schedule_solution1(ex.problem).value();
+  CertifySpec spec;
+  spec.max_silences = 1;
+  spec.threads = 8;
+
+  // The leaves that go through the cache: every dead-at-start-only leaf
+  // and every branch with no budget left (counted on a collecting run).
+  CertifySpec collect = spec;
+  collect.collect_branches = true;
+  const CertifyReport all = certify(schedule, collect);
+  std::size_t leaves = 0;
+  for (const CertifyBranch& branch : all.branches_list) {
+    const bool root = branch.crashes.empty() && branch.silences.empty();
+    const bool exhausted =
+        branch.dead_at_start.size() + branch.crashes.size() ==
+            static_cast<std::size_t>(all.max_failures) &&
+        branch.silences.size() == 1;
+    if (root || exhausted) ++leaves;
+  }
+  ASSERT_GT(leaves, 0u);
+
+  // Cold cache at 8 threads: the sweep only reads it, so it is still
+  // empty whenever a finished task is emitted, and holds every fresh leaf
+  // once the shard returns.
+  CertifyCache cache;
+  spec.cache = &cache;
+  std::size_t emitted = 0;
+  const bool completed = certify_shard(
+      schedule, spec, CertifyShardSpec{}, [&](CertifyTaskPartial&& partial) {
+        EXPECT_EQ(cache.size(), 0u) << "task " << partial.task_index;
+        EXPECT_EQ(partial.leaves_reused, 0u);
+        ++emitted;
+      });
+  EXPECT_TRUE(completed);
+  EXPECT_EQ(emitted, certify_sweep(schedule, spec).tasks);
+  EXPECT_EQ(cache.size(), leaves);
+}
+
 TEST(Certify, CacheKeysOnScheduleBytesNotJustTheProblem) {
   const OwnedProblem ex = workload::paper_example1();
   const Schedule sol1 = schedule_solution1(ex.problem).value();

@@ -152,6 +152,39 @@ TEST(AllocationCount, ReferenceModeAlsoAllocationFreePerEvaluation) {
       << "small=" << small_allocs << " large=" << large_allocs;
 }
 
+/// The fig22 K=2+S=1 sweep at one thread.
+campaign::CertifySpec fig22_k2s1_spec() {
+  campaign::CertifySpec spec;
+  spec.max_failures = 2;
+  spec.max_silences = 1;
+  spec.threads = 1;
+  return spec;
+}
+
+struct SweepShape {
+  std::size_t branches = 0;
+  /// Fault patterns with budget left, which children fork from.
+  std::size_t interior = 0;
+};
+
+/// The shape of `spec`'s sweep, counted on a collecting run outside any
+/// measurement. Checks that leaves dominate the sweep.
+SweepShape sweep_shape(const Schedule& schedule,
+                       const campaign::CertifySpec& spec) {
+  campaign::CertifySpec collect = spec;
+  collect.collect_branches = true;
+  const campaign::CertifyReport all = campaign::certify(schedule, collect);
+  std::size_t interior = 0;
+  for (const campaign::CertifyBranch& branch : all.branches_list) {
+    const bool crash_left =
+        branch.dead_at_start.size() + branch.crashes.size() < 2;
+    if (crash_left || branch.silences.empty()) ++interior;
+  }
+  EXPECT_GT(interior, 0u);
+  EXPECT_GT(all.branches, 10 * interior);
+  return SweepShape{all.branches, interior};
+}
+
 /// The certifier's steady state allocates nothing per explored node:
 /// every budget-exhausted leaf reloads one reused arena, every interior
 /// node reuses its depth's level (campaign/certify.cpp), and explorer
@@ -165,33 +198,47 @@ TEST(AllocationCount, CertifySweepAllocatesLessThanOncePerInteriorNode) {
 #endif
   const workload::OwnedProblem ex = workload::paper_example2();
   const Schedule schedule = schedule_solution2(ex.problem).value();
-  campaign::CertifySpec spec;
-  spec.max_failures = 2;
-  spec.max_silences = 1;
-  spec.threads = 1;
-
-  // Interior nodes: fault patterns with budget left, which children fork
-  // from (counted on a collecting run, outside the measurement).
-  campaign::CertifySpec collect = spec;
-  collect.collect_branches = true;
-  const campaign::CertifyReport all = campaign::certify(schedule, collect);
-  std::size_t interior = 0;
-  for (const campaign::CertifyBranch& branch : all.branches_list) {
-    const bool crash_left =
-        branch.dead_at_start.size() + branch.crashes.size() < 2;
-    if (crash_left || branch.silences.empty()) ++interior;
-  }
-  ASSERT_GT(interior, 0u);
-  ASSERT_GT(all.branches, 10 * interior);  // leaves dominate the sweep
+  const campaign::CertifySpec spec = fig22_k2s1_spec();
+  const SweepShape shape = sweep_shape(schedule, spec);
+  const std::size_t interior = shape.interior;
 
   g_allocations.store(0);
   g_counting.store(true);
   const campaign::CertifyReport report = campaign::certify(schedule, spec);
   g_counting.store(false);
   const std::size_t allocations = g_allocations.load();
-  EXPECT_EQ(report.branches, all.branches);
+  EXPECT_EQ(report.branches, shape.branches);
   EXPECT_LT(allocations, interior)
       << "branches=" << report.branches << " interior=" << interior;
+}
+
+/// With a cold leaf cache attached, the same sweep also builds every
+/// leaf's cache key in reused buffers and publishes the fresh leaves into
+/// the reserved map after the sweep: at most one allocation per published
+/// entry (its map node) on top of the cache-off budget, none per key.
+TEST(AllocationCount, CacheAttachedSweepAllocatesOncePerPublishedEntry) {
+#ifdef FTSCHED_ALLOC_COUNT_UNAVAILABLE
+  GTEST_SKIP() << "sanitizer runtime owns the global allocation operators";
+#endif
+  const workload::OwnedProblem ex = workload::paper_example2();
+  const Schedule schedule = schedule_solution2(ex.problem).value();
+  campaign::CertifySpec spec = fig22_k2s1_spec();
+  const SweepShape shape = sweep_shape(schedule, spec);
+  const std::size_t interior = shape.interior;
+  campaign::CertifyCache cache;
+  spec.cache = &cache;
+
+  g_allocations.store(0);
+  g_counting.store(true);
+  const campaign::CertifyReport report = campaign::certify(schedule, spec);
+  g_counting.store(false);
+  const std::size_t allocations = g_allocations.load();
+  EXPECT_EQ(report.branches, shape.branches);
+  EXPECT_EQ(report.leaves_reused, 0u);
+  EXPECT_GT(cache.size(), 10 * interior);
+  EXPECT_LT(allocations, interior + cache.size())
+      << "branches=" << report.branches << " interior=" << interior
+      << " entries=" << cache.size();
 }
 
 }  // namespace

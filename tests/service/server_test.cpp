@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -141,6 +142,25 @@ TEST(CertifyService, MalformedAndFailingRequestsAnswerErrors) {
   EXPECT_EQ(service.stats().errors, 5u);
   // The service keeps serving after errors.
   EXPECT_TRUE(service.handle_line(R"({"type":"status","id":"s"})", sink));
+}
+
+TEST(CertifyService, UnwritableCertificateOutAnswersAnError) {
+  std::ifstream probe("/dev/full");
+  if (!probe.good()) GTEST_SKIP() << "/dev/full not available";
+  CertifyService service(ServeOptions{});
+  StringSink sink;
+  // /dev/full opens fine and fails only when the bytes are flushed: the
+  // request must be answered with an error, not a result.
+  EXPECT_TRUE(service.handle_line(
+      R"({"type":"submit","id":"w","certificate_out":"/dev/full",)"
+      R"("problem_inline":)" +
+          inline_problem() + "}",
+      sink));
+  const auto records = parse_records(sink.text());
+  EXPECT_EQ(find_record(records, "result", "w"), nullptr) << sink.text();
+  const JsonValue* error = find_record(records, "error", "w");
+  ASSERT_NE(error, nullptr) << sink.text();
+  EXPECT_EQ(error->string_or("message", ""), "cannot write /dev/full");
 }
 
 TEST(CertifyService, ChainConstrainedSubmitLabelsItsCounterexamples) {

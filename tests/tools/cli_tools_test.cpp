@@ -3,7 +3,8 @@
 // refused with a diagnostic instead of saturating, and an output file that
 // cannot take the bytes is reported instead of claimed written.
 // schedule_tool shares campaign_tool's exit codes: 2 for bad usage, 3 for
-// an unreadable or malformed input file.
+// an unreadable or malformed input file. Both also flush and check stdout
+// before exiting, so a report lost on a full device exits 2.
 //
 // The CampaignTool suite pins each campaign_tool mode end to end: exit
 // code, stdout (minus the wall-clock "rate:" lines) and the bytes of every
@@ -154,6 +155,17 @@ TEST(ScheduleTool, WriteToFullDeviceReportsCannotWrite) {
                           " --example1 --json -o /dev/full");
   EXPECT_EQ(out.status, 2) << out.output;
   EXPECT_TRUE(has(out, "cannot write /dev/full")) << out.output;
+}
+
+TEST(ScheduleTool, FullStdoutReportsCannotWrite) {
+  std::ifstream probe("/dev/full");
+  if (!probe.good()) GTEST_SKIP() << "/dev/full not available";
+  // stderr goes to the captured pipe, stdout to the full device.
+  const Outcome out = run(std::string(FTSCHED_SCHEDULE_TOOL) +
+                              " --example1 --json",
+                          " 2>&1 >/dev/full");
+  EXPECT_EQ(out.status, 2) << out.output;
+  EXPECT_TRUE(has(out, "schedule_tool: cannot write stdout")) << out.output;
 }
 
 std::string source_path(const std::string& relative) {
@@ -336,6 +348,19 @@ TEST(CampaignTool, ShardStreamToFullDeviceReportsCannotWrite) {
                           " --stream-out /dev/full");
   EXPECT_EQ(out.status, 2) << out.output;
   EXPECT_TRUE(has(out, "cannot write /dev/full")) << out.output;
+}
+
+TEST(CampaignTool, ShardStreamOnFullStdoutReportsCannotWrite) {
+  std::ifstream probe("/dev/full");
+  if (!probe.good()) GTEST_SKIP() << "/dev/full not available";
+  // Without --stream-out the NDJSON records go to stdout, here the full
+  // device; stderr goes to the captured pipe.
+  const Outcome out = run(std::string(FTSCHED_CAMPAIGN_TOOL) + " " +
+                              source_path("data/certify_k2.ft") +
+                              " --solution2 --certify-shard 0/2",
+                          " 2>&1 >/dev/full");
+  EXPECT_EQ(out.status, 2) << out.output;
+  EXPECT_TRUE(has(out, "campaign_tool: cannot write stdout")) << out.output;
 }
 
 TEST(CampaignTool, TraceOutIsWrittenInEveryMode) {
